@@ -106,7 +106,10 @@ func getMetrics(t *testing.T, ts *httptest.Server) metricsResponse {
 	return m
 }
 
-const heavySort = "SELECT x FROM t ORDER BY x LIMIT 10;"
+// heavySort evaluates its sort key over all 65,536 rows of t into the
+// statement's arena (512 KiB of float64), more than the tiny tenant's
+// budget, while the top-10 it returns stays small.
+const heavySort = "SELECT x FROM t ORDER BY x * 2 LIMIT 10;"
 
 // TestServerBudgetIsolation runs one generous and one tiny-budget
 // tenant against the same statement: the tiny tenant gets the typed

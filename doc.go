@@ -124,14 +124,27 @@
 //     over fixed chunks of bat.SerialCutoff rows, merged in ascending
 //     chunk order, so group order and float sums are bitwise-identical
 //     at any worker budget.
-//   - bat.SortIndex (and rel's ORDER BY path) uses bat.SortStable, a
-//     parallel stable merge sort over arena-backed permutation buffers;
-//     the stable permutation is unique, so the result is independent of
-//     the worker budget.
+//   - bat.Order is the one ordering kernel under bat.SortIndex, rel.Sort
+//     and SQL ORDER BY: a parallel merge sort over arena-backed
+//     permutation buffers, or bounded per-chunk heaps for a small LIMIT.
+//     The permutation is unique, so the result is independent of the
+//     worker budget (see Ordering below).
 //   - The zero-suppressed kernels (bat.SparseAdd, Sparse.Gather,
 //     Sparse.Densify, Sparse.Sum) decompose over OID ranges concatenated
 //     in range order (Sum reduces over fixed chunks), with the same
 //     determinism guarantee.
+//
+// # Ordering
+//
+// Every row ordering in the engine — ORDER BY, rel.Sort, the sort step
+// of the relational matrix operations — runs through bat.Order over
+// typed key columns, with one total order. Floats order NaN after every
+// number, NaNs tie with each other, and -0 ties with +0; ints and
+// strings order naturally. Rows whose keys tie keep their input order,
+// so the order over rows is strict and the result is the same at every
+// worker, spill and cache setting. ORDER BY … LIMIT k selects its k rows
+// with bounded per-chunk heaps instead of sorting the whole input, and
+// the rows it returns are exactly the first k rows of the full sort.
 //
 // # Streaming execution
 //

@@ -8,22 +8,7 @@ import (
 	"testing/quick"
 )
 
-func TestValueOrdering(t *testing.T) {
-	if !FloatValue(1).Less(FloatValue(2)) {
-		t.Error("1.0 < 2.0 expected")
-	}
-	if FloatValue(2).Less(FloatValue(2)) {
-		t.Error("2.0 < 2.0 unexpected")
-	}
-	if !IntValue(-5).Less(IntValue(0)) {
-		t.Error("-5 < 0 expected")
-	}
-	if !StringValue("a").Less(StringValue("b")) {
-		t.Error(`"a" < "b" expected`)
-	}
-	if !FloatValue(9).Less(IntValue(-9)) {
-		t.Error("cross-type order: Float tag sorts before Int tag")
-	}
+func TestValueEqual(t *testing.T) {
 	if FloatValue(1).Equal(IntValue(1)) {
 		t.Error("values of different types are not equal")
 	}

@@ -85,12 +85,12 @@ func TestSortIndexMultiKeyIdenticalAcrossWorkers(t *testing.T) {
 // of the parallel boundary.
 func TestSortStableIsStable(t *testing.T) {
 	for _, n := range []int{SerialCutoff - 1, SerialCutoff + 1, 3*SerialCutoff + 17} {
-		keys := make([]int, n)
+		keys := make([]int64, n)
 		for k := range keys {
-			keys[k] = k % 7
+			keys[k] = int64(k % 7)
 		}
 		withParallelism(8, func() {
-			idx := SortStable(nil, n, func(a, b int) bool { return keys[a] < keys[b] })
+			idx := SortIndex(nil, []*BAT{FromInts(keys)})
 			for k := 1; k < n; k++ {
 				ka, kb := keys[idx[k-1]], keys[idx[k]]
 				if ka > kb {

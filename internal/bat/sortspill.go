@@ -2,13 +2,12 @@ package bat
 
 import (
 	"os"
-	"sort"
 
 	"repro/internal/exec"
 	"repro/internal/store"
 )
 
-// sortMergeSpilled is the out-of-core merge phase of SortStable: the
+// sortMergeSpilled is the out-of-core merge phase of sortPerm: the
 // per-run sorted permutations already sitting in idx are written to
 // disk as segment files, then k-way merged back into idx streaming
 // one block per run — so the merge needs no second n-int buffer in
@@ -20,7 +19,7 @@ import (
 // pairwise in-memory merge prefers its left input, and the stable
 // permutation is unique — so the result is bit-identical to the
 // in-memory path at any worker budget.
-func sortMergeSpilled(c *exec.Ctx, idx []int, n, size int, less func(a, b int) bool) bool {
+func sortMergeSpilled(c *exec.Ctx, idx []int, n, size int, compare func(a, b int) int) bool {
 	if !c.ShouldSpill(int64(n) * int64(intSizeOf())) {
 		return false
 	}
@@ -135,7 +134,7 @@ func sortMergeSpilled(c *exec.Ctx, idx []int, n, size int, less func(a, b int) b
 					continue
 				}
 				v := int(curs[r].block[curs[r].pos])
-				if best < 0 || less(v, bestV) {
+				if best < 0 || compare(v, bestV) < 0 {
 					best, bestV = r, v
 				}
 			}
@@ -158,7 +157,7 @@ func sortMergeSpilled(c *exec.Ctx, idx []int, n, size int, less func(a, b int) b
 		for k := range idx {
 			idx[k] = k
 		}
-		sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
+		sortRows(idx, compare)
 	}
 	return true
 }

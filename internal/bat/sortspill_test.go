@@ -18,17 +18,17 @@ func TestSortStableSpillBitwise(t *testing.T) {
 	for k := range keys {
 		keys[k] = float64(rng.Intn(n / 4)) // many duplicates: stability matters
 	}
-	less := func(a, b int) bool { return keys[a] < keys[b] }
+	key := []*BAT{FromFloats(keys)}
 
 	cm := exec.NewCtx(4, nil, nil)
-	want := SortStable(cm, n, less)
+	want := SortIndex(cm, key)
 
 	dir := t.TempDir()
 	sp := exec.NewSpill(dir, 0).Forced()
 	defer sp.Cleanup()
 	var stats exec.Stats
 	cs := exec.NewCtx(4, nil, &stats).WithSpill(sp)
-	got := SortStable(cs, n, less)
+	got := SortIndex(cs, key)
 
 	if len(got) != len(want) {
 		t.Fatalf("length %d != %d", len(got), len(want))
@@ -67,11 +67,10 @@ func TestSortStableSpillSerialNoop(t *testing.T) {
 	for k := range keys {
 		keys[k] = float64(n - k)
 	}
-	less := func(a, b int) bool { return keys[a] < keys[b] }
 	sp := exec.NewSpill(t.TempDir(), 0).Forced()
 	defer sp.Cleanup()
 	c := exec.NewCtx(1, nil, nil).WithSpill(sp)
-	got := SortStable(c, n, less)
+	got := SortIndex(c, []*BAT{FromFloats(keys)})
 	for k := 1; k < n; k++ {
 		if keys[got[k-1]] > keys[got[k]] {
 			t.Fatalf("not sorted at %d", k)

@@ -88,24 +88,6 @@ func (v Value) String() string {
 	return "?"
 }
 
-// Less orders values. Values of different types order by type tag first,
-// which gives a total order across heterogeneous keys (needed by sort-based
-// operators); within a type the natural order applies.
-func (v Value) Less(w Value) bool {
-	if v.Type != w.Type {
-		return v.Type < w.Type
-	}
-	switch v.Type {
-	case Float:
-		return v.F < w.F
-	case Int:
-		return v.I < w.I
-	case String:
-		return v.S < w.S
-	}
-	return false
-}
-
 // Equal reports value equality (types must match).
 func (v Value) Equal(w Value) bool {
 	if v.Type != w.Type {

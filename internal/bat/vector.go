@@ -1,7 +1,9 @@
 package bat
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 
 	"repro/internal/exec"
 )
@@ -236,37 +238,17 @@ func (v *Vector) asFloats(c *exec.Ctx) (vals []float64, shared bool) {
 	panic("bat: AsFloats on string vector")
 }
 
-// Compare compares v[i] with w[j] without boxing: -1, 0, or +1.
-// Both vectors must have the same type.
+// Compare compares v[i] with w[j] without boxing: -1, 0, or +1, under
+// the engine's total order (floats: NaN last, -0 ties +0). Both vectors
+// must have the same type.
 func (v *Vector) Compare(i int, w *Vector, j int) int {
 	switch v.typ {
 	case Float:
-		a, b := v.f[i], w.f[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
+		return compareFloat(v.f[i], w.f[j])
 	case Int:
-		a, b := v.i[i], w.i[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
+		return cmp.Compare(v.i[i], w.i[j])
 	case String:
-		a, b := v.s[i], w.s[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
+		return strings.Compare(v.s[i], w.s[j])
 	}
 	return 0
 }

@@ -173,32 +173,23 @@ type OrderSpec struct {
 	Desc bool
 }
 
-// Sort returns r ordered by the given attributes (stable). The permutation
-// comes from bat.SortStable — a parallel merge sort above the serial
-// cutoff — and the stable permutation is unique, so the row order is
-// identical at any worker budget.
+// Sort returns r ordered by the given attributes (stable). The
+// permutation comes from bat.Order, the engine's one ordering kernel, so
+// the row order is identical at any worker budget.
 func (r *Relation) Sort(c *exec.Ctx, specs ...OrderSpec) (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
-	vecs := make([]*bat.Vector, len(specs))
+	keys := make([]*bat.BAT, len(specs))
+	desc := make([]bool, len(specs))
 	for k, sp := range specs {
-		col, err := r.Col(sp.Attr)
-		if err != nil {
+		if keys[k], err = r.Col(sp.Attr); err != nil {
 			return nil, err
 		}
-		vecs[k] = col.VectorCtx(c)
+		desc[k] = sp.Desc
 	}
-	idx := bat.SortStable(c, r.NumRows(), func(a, b int) bool {
-		for k, v := range vecs {
-			cmp := v.Compare(a, v, b)
-			if cmp != 0 {
-				if specs[k].Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-		}
-		return false
-	})
+	if len(keys) == 0 {
+		return r, nil
+	}
+	idx := bat.Order(c, keys, desc, -1)
 	out := r.Gather(c, idx)
 	c.Arena().FreeInts(idx)
 	return out, nil

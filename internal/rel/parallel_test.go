@@ -113,7 +113,7 @@ func TestHashJoinBitwiseIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestSortBitwiseIdenticalAcrossWorkers asserts relation sorting through
-// bat.SortStable yields identical row orders at any worker budget,
+// bat.Order yields identical row orders at any worker budget,
 // including descending and multi-key specs with heavy duplication.
 func TestSortBitwiseIdenticalAcrossWorkers(t *testing.T) {
 	for _, n := range boundarySizes() {

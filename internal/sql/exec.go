@@ -994,7 +994,7 @@ func filterSource(c *exec.Ctx, s *source, pred Expr) (*source, error) {
 // max-per-stage memory instead of sum-of-intermediates.
 func (db *DB) execSelect(c *exec.Ctx, sel *SelectStmt) (*rel.Relation, error) {
 	// A forced-spill retry runs materialized on purpose: the
-	// materializing operators (HashJoin, GroupBy, SortStable) are the
+	// materializing operators (HashJoin, GroupBy, bat.Order) are the
 	// ones with disk-backed twins, while the streaming join build has
 	// none.
 	if db.streamingEnabled() && !c.Spill().IsForced() {
@@ -1131,50 +1131,67 @@ func finishSelect(c *exec.Ctx, sel *SelectStmt, items []SelectItem, src *source)
 // output. src, when non-nil, is the pre-projection source ORDER BY may
 // fall back to for sort keys that were not selected; the streaming
 // projection path passes nil (its planner already proved the sort keys
-// compile against the output).
+// compile against the output). ORDER BY runs bat.Order over typed key
+// columns and gathers only the rows LIMIT keeps.
 func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, outSyms []sym, src *source) (*rel.Relation, error) {
 	if sel.Distinct {
 		out = out.Distinct(c)
 	}
-
-	if len(sel.OrderBy) > 0 {
-		outSrc := &source{rel: out, syms: outSyms}
-		comps := make([]*compiled, len(sel.OrderBy))
-		for k, ob := range sel.OrderBy {
-			comp, err := compileExpr(ob.Expr, outSrc)
-			if err != nil && src != nil && !sel.Distinct && src.rel.NumRows() == out.NumRows() {
-				// Fall back to the pre-projection source: ORDER BY may
-				// reference input columns that were not selected.
-				comp, err = compileExpr(ob.Expr, src)
-			}
-			if err != nil {
-				return nil, err
-			}
-			comps[k] = comp
+	if len(sel.OrderBy) == 0 {
+		if sel.Limit >= 0 {
+			out = out.Limit(c, sel.Limit)
 		}
-		// Compiled comparators only read at fn(i) time, so the parallel
-		// (and, under pressure, disk-merging) stable sort is safe here.
-		idx := bat.SortStable(c, out.NumRows(), func(a, b int) bool {
-			for k, comp := range comps {
-				va, vb := comp.fn(a), comp.fn(b)
-				if va.Equal(vb) {
-					continue
-				}
-				if sel.OrderBy[k].Desc {
-					return vb.Less(va)
-				}
-				return va.Less(vb)
-			}
-			return false
-		})
-		out = out.Gather(c, idx)
-		bat.FreeInts(idx)
+		return out, nil
 	}
 
-	if sel.Limit >= 0 {
-		out = out.Limit(c, sel.Limit)
+	outSrc := &source{rel: out, syms: outSyms}
+	keys := make([]*bat.BAT, len(sel.OrderBy))
+	desc := make([]bool, len(sel.OrderBy))
+	var owned []*bat.Vector
+	defer func() {
+		for _, v := range owned {
+			freeVec(c, v)
+		}
+	}()
+	for k, ob := range sel.OrderBy {
+		col, vec, err := orderKey(c, ob.Expr, outSrc)
+		if err != nil && src != nil && !sel.Distinct && src.rel.NumRows() == out.NumRows() {
+			// Fall back to the pre-projection source: ORDER BY may
+			// reference input columns that were not selected.
+			col, vec, err = orderKey(c, ob.Expr, src)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if vec != nil {
+			owned = append(owned, vec)
+		}
+		keys[k], desc[k] = col, ob.Desc
 	}
+	idx := bat.Order(c, keys, desc, sel.Limit)
+	out = out.Gather(c, idx)
+	c.Arena().FreeInts(idx)
 	return out, nil
+}
+
+// orderKey resolves one ORDER BY expression over s to a typed key
+// column. A bare column reference is the source column itself; any
+// other expression is evaluated once into an arena vector, returned as
+// vec for the caller to free once the ordering is done.
+func orderKey(c *exec.Ctx, e Expr, s *source) (col *bat.BAT, vec *bat.Vector, err error) {
+	if ref, ok := e.(*ColRef); ok {
+		k, err := s.resolve(ref.Qualifier, ref.Name)
+		if err != nil {
+			return nil, nil, err
+		}
+		return s.rel.Cols[k], nil, nil
+	}
+	comp, err := compileExpr(e, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	vec = materializeVec(c, comp, s.rel.NumRows())
+	return bat.FromVector(vec), vec, nil
 }
 
 // grpQual is the reserved qualifier for grouped columns.

@@ -295,8 +295,9 @@ func TestSpillConsumersIsolated(t *testing.T) {
 		// is the grouped aggregation (freeze-and-divert).
 		{"agg", "SELECT id, SUM(val) AS sv, COUNT(*) AS cnt FROM t GROUP BY id", true},
 		// Streaming plan, no join, no grouping: only the final sort can
-		// spill (per-run files plus k-way merge; workers > 1).
-		{"sort", "SELECT id, val, tag FROM t ORDER BY val DESC, id LIMIT 200", true},
+		// spill (per-run files plus k-way merge; workers > 1). No LIMIT:
+		// a small one selects through bounded heaps, with no sort to spill.
+		{"sort", "SELECT id, val, tag FROM t ORDER BY val DESC, id", true},
 		// Materialized plan, no grouping, no sort: only the hash join's
 		// partitioned pair staging can spill.
 		{"join", "SELECT t.id, t.val, s.bonus FROM t JOIN s ON t.grp = s.k", false},
