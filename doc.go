@@ -171,8 +171,8 @@
 // filter→join→group pipeline holds one morsel per stage plus the join
 // build and aggregation tables — peak arena bytes become the maximum
 // across stages instead of the sum of full intermediates. Hash joins
-// build once via rel.JoinBuild sized from the (pruned, pre-filtered)
-// build side and probe per morsel; aggregations fold morsels into
+// build once via rel.JoinBuild over the (pruned, pre-filtered) build
+// side and probe per morsel; aggregations fold morsels into
 // rel.StreamAgg, which buffers rows into the same
 // bat.SerialCutoff-aligned chunks as rel.GroupBy regardless of morsel
 // boundaries. Both therefore keep the determinism contract: probe
@@ -181,6 +181,47 @@
 // bitwise-identical to the materializing path at any worker budget.
 // exec.PipelineStats records per-stage batch/row counts and peak held
 // bytes, surfaced through sql.DB.PipelineStats and rmacli \stats.
+//
+// Both hash tables are flat and open-addressed over the typed 64-bit
+// key hashes (internal/rel/table.go). A join build side is indexed in
+// two passes over an ascending row list — count each hash into its
+// slot, prefix-sum, scatter the row ids — so a lookup returns a
+// sub-slice of one row array, in build order, without allocating;
+// every build (single table, radix shards, exchange shards, spill
+// partitions) uses it. The grouping operators (rel.GroupBy, StreamAgg,
+// Distinct) map hashes to dense first-seen group ids in a slot array;
+// StreamAgg keeps its per-chunk partial states in a dense per-group
+// slot array instead of a map. Key hashes are computed a morsel at a
+// time, one typed loop per key column.
+//
+// # Expressions
+//
+// SQL expressions compile once per operator into a tree of typed
+// kernels (internal/sql/eval.go) and then evaluate a morsel at a time:
+// a node fills a []float64, []int64 or []string for a row range, a
+// column reference returns a zero-copy view of the bound column, and a
+// literal broadcasts its value. A predicate narrows a selection vector
+// — the ascending positions still alive in the morsel — instead of
+// producing booleans: WHERE conjuncts narrow it one after another, AND
+// runs its right side only on the positions its left side kept, OR only
+// on those it rejected, and IN and BETWEEN evaluate later operands only
+// where the row is still undecided, so every row sees exactly the
+// evaluations row-at-a-time short-circuiting would give it. The same
+// compiled tree serves the scan (bound to the whole table, global
+// rows), filters, join and group keys, aggregate inputs, projections,
+// the materializing executor and INSERT values.
+//
+// Comparisons follow the engine's one total order, the order ORDER BY,
+// GROUP BY and join keys use: strings compare bytewise, Int with Int
+// compares exactly as int64, and every other numeric pair compares as
+// float64, NaN equal to NaN and after every number, -0 equal to +0. So
+// NaN = 5 is false, NaN <> 5 and NaN > 5 are true, and an integer
+// column compared with a float constant (or BETWEEN/IN with a float
+// operand) converts through float64, where values beyond 2^53 round.
+// Integer % by zero fails the statement with sql.ErrDivisionByZero —
+// only when a row the statement evaluates divides by zero, so
+// WHERE b <> 0 AND a % b = 1 is safe. Floating-point division and %
+// follow IEEE (±Inf, NaN).
 //
 // # Out-of-core storage and spill
 //
@@ -222,7 +263,7 @@
 // zero (unbudgeted tenants never auto-spill). The consumers are the
 // three the roadmap named: hash-join pair staging (16-way partitioned
 // pair files merged back in canonical probe order — both
-// rel.HashJoinSized and the SQL layer's rel.EquiJoinPairsSpilled
+// rel.HashJoin and the SQL layer's rel.EquiJoinPairsSpilled
 // route), grouped aggregation (rel.StreamAgg and rel.GroupBy freeze
 // partial tables to disk and merge), and sort (per-run files k-way
 // merged; a serial sort is one run and never stages). Every spilled
@@ -264,18 +305,14 @@
 // the join table uses, each shard builds and probes (or groups)
 // independently, and shard outputs concatenate in fixed shard order —
 // so the exchange plan is bitwise-identical to the single-table path
-// (rel.ExchangeJoin vs rel.HashJoinSized, rel.ShardedAgg vs
-// rel.StreamAgg). The streaming SQL planner picks the partitioned
-// build when the statement runs with a multi-worker budget and the
-// build side exceeds bat.SerialCutoff rows; shard count is resolved at
-// execution time (min(workers, 16)) so cached plans stay
-// execution-agnostic. The plan additionally carries a partitioning
-// property — the canonical probe-side equi-join keys — and when the
-// GROUP BY keys equal it, the group stage shards its accumulators on
-// the existing key hashes instead of re-shuffling; grouping on other
-// keys keeps the single spill-capable accumulator. Per-shard rows
-// surface in exec.PipelineStats as exchange.build[shard i/P],
-// exchange.join[shard i/P], and exchange.group[shard i/P] stages.
+// (rel.ExchangeJoin vs rel.HashJoin). The streaming SQL planner picks
+// the partitioned build (rel.NewPartitionedBuild) when the statement
+// runs with a multi-worker budget and the build side exceeds
+// bat.SerialCutoff rows; shard count is resolved at execution time
+// (min(workers, 16)) so cached plans stay execution-agnostic. Grouping
+// always folds into the single spill-capable rel.StreamAgg. Per-shard
+// rows surface in exec.PipelineStats as exchange.build[shard i/P] and
+// exchange.join[shard i/P] stages.
 //
 // # Static analysis
 //

@@ -76,7 +76,7 @@ func newOrdering(c *exec.Ctx, keys []*BAT, desc []bool) *ordering {
 		d := k < len(desc) && desc[k]
 		switch v.typ {
 		case Float:
-			cmps[k] = keyCmp(v.f, compareFloat, d)
+			cmps[k] = keyCmp(v.f, CompareFloat, d)
 		case Int:
 			cmps[k] = keyCmp(v.i, cmp.Compare[int64], d)
 		default:
@@ -273,10 +273,10 @@ func SortIndex(c *exec.Ctx, keys []*BAT) []int {
 	return Order(c, keys, nil, -1)
 }
 
-// compareFloat is the engine's total order on float64: it returns -1, 0
+// CompareFloat is the engine's total order on float64: it returns -1, 0
 // or +1 as a orders before, with or after b. NaN orders after every
 // number and ties with other NaNs; -0 ties with +0.
-func compareFloat(a, b float64) int {
+func CompareFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1

@@ -244,7 +244,7 @@ func (v *Vector) asFloats(c *exec.Ctx) (vals []float64, shared bool) {
 func (v *Vector) Compare(i int, w *Vector, j int) int {
 	switch v.typ {
 	case Float:
-		return compareFloat(v.f[i], w.f[j])
+		return CompareFloat(v.f[i], w.f[j])
 	case Int:
 		return cmp.Compare(v.i[i], w.i[j])
 	case String:

@@ -66,6 +66,14 @@ func newAggStates(k int) []aggState {
 	return st
 }
 
+// appendAggStates appends k fresh states to dst.
+func appendAggStates(dst []aggState, k int) []aggState {
+	for range k {
+		dst = append(dst, aggState{min: math.Inf(1), max: math.Inf(-1)})
+	}
+	return dst
+}
+
 // accumulate folds row value v (valid when col != nil) into the state.
 func (st *aggState) accumulate(col []float64, i int) {
 	st.count++
@@ -105,22 +113,22 @@ type aggGroup struct {
 // same structure serves the per-chunk partials and the merged result.
 type aggTable struct {
 	groups []aggGroup
-	byHash map[uint64][]int // hash -> indices into groups
+	idx    groupIndex
 }
 
 func newAggTable(hint int) *aggTable {
-	return &aggTable{byHash: make(map[uint64][]int, hint)}
+	return &aggTable{idx: newGroupIndex(hint)}
 }
 
 // find returns the group of row i (keyed by kc/h), creating it when absent.
 func (t *aggTable) find(kc *keyCols, h []uint64, i, nAggs int) *aggGroup {
 	hv := h[i]
-	for _, g := range t.byHash[hv] {
-		if kc.equal(i, kc, t.groups[g].row) {
+	for s, g := t.idx.first(hv); g >= 0; s, g = t.idx.next(s) {
+		if t.idx.hash[g] == hv && kc.equal(i, kc, t.groups[g].row) {
 			return &t.groups[g]
 		}
 	}
-	t.byHash[hv] = append(t.byHash[hv], len(t.groups))
+	t.idx.add(hv)
 	t.groups = append(t.groups, aggGroup{row: i, st: newAggStates(nAggs)})
 	return &t.groups[len(t.groups)-1]
 }

@@ -200,34 +200,14 @@ func (a *StreamAgg) replaySpilled() error {
 	// Recovered groups, keyed like the resident table.
 	var (
 		rfirst  []int64
-		rhash   []uint64
 		rstates [][]aggState
 		rcur    [][]aggState
 		rchunk  []int64
 	)
-	rkf := make([][]float64, len(a.keys))
-	rki := make([][]int64, len(a.keys))
-	rks := make([][]string, len(a.keys))
-	rby := make(map[uint64][]int)
-	equalAt := func(kvecs []*bat.Vector, i, g int) bool {
-		for k := range a.kt {
-			switch a.kt[k] {
-			case bat.Int:
-				if kvecs[k].Ints()[i] != rki[k][g] {
-					return false
-				}
-			case bat.String:
-				if kvecs[k].Strings()[i] != rks[k][g] {
-					return false
-				}
-			default:
-				if canonBits(kvecs[k].Floats()[i]) != canonBits(rkf[k][g]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
+	rrep := newKeyColsOfTypes(a.kt)
+	rby := newGroupIndex(0)
+	var kc keyCols
+	var hs []uint64
 	inCol := make([]int, len(a.aggs))
 	ci := 1 + len(a.keys)
 	for k := range a.aggs {
@@ -264,41 +244,35 @@ func (a *StreamAgg) replaySpilled() error {
 				d := cols[1+k]
 				switch a.kt[k] {
 				case bat.Int:
-					kvecs[k] = bat.FromInts(d.I).Vector()
+					kvecs[k] = bat.NewIntVector(d.I)
 				case bat.String:
-					kvecs[k] = bat.FromStrings(d.S).Vector()
+					kvecs[k] = bat.NewStringVector(d.S)
 				default:
-					kvecs[k] = bat.FromFloats(d.F).Vector()
+					kvecs[k] = bat.NewFloatVector(d.F)
 				}
 			}
+			kc.bindVectors(kvecs, n)
+			if cap(hs) < n {
+				hs = make([]uint64, n)
+			}
+			kc.hashInto(hs[:n], 0, n)
 			for j := 0; j < n; j++ {
-				h := a.hashKeyRow(kvecs, j)
+				h := hs[j]
 				chunk := cols[0].I[j] / int64(bat.SerialCutoff)
 				g := -1
-				for _, cand := range rby[h] {
-					if equalAt(kvecs, j, cand) {
+				for s, cand := rby.first(h); cand >= 0; s, cand = rby.next(s) {
+					if rby.hash[cand] == h && kc.equal(j, &rrep, cand) {
 						g = cand
 						break
 					}
 				}
 				if g < 0 {
-					g = len(rstates)
-					rby[h] = append(rby[h], g)
+					g = rby.add(h)
 					rfirst = append(rfirst, cols[0].I[j])
-					rhash = append(rhash, h)
 					rstates = append(rstates, newAggStates(len(a.aggs)))
 					rcur = append(rcur, newAggStates(len(a.aggs)))
 					rchunk = append(rchunk, chunk)
-					for k := range a.kt {
-						switch a.kt[k] {
-						case bat.Int:
-							rki[k] = append(rki[k], kvecs[k].Ints()[j])
-						case bat.String:
-							rks[k] = append(rks[k], kvecs[k].Strings()[j])
-						default:
-							rkf[k] = append(rkf[k], kvecs[k].Floats()[j])
-						}
-					}
+					rrep.appendRow(&kc, j)
 				} else if rchunk[g] != chunk {
 					// Crossing a global chunk boundary: fold the chunk
 					// partial in, ascending order as ever.
@@ -334,18 +308,9 @@ func (a *StreamAgg) replaySpilled() error {
 	}
 	sort.Slice(ord, func(x, y int) bool { return rfirst[ord[x]] < rfirst[ord[y]] })
 	for _, g := range ord {
-		a.ghash = append(a.ghash, rhash[g])
-		a.states = append(a.states, rstates[g])
-		for k := range a.kt {
-			switch a.kt[k] {
-			case bat.Int:
-				a.ki[k] = append(a.ki[k], rki[k][g])
-			case bat.String:
-				a.ks[k] = append(a.ks[k], rks[k][g])
-			default:
-				a.kf[k] = append(a.kf[k], rkf[k][g])
-			}
-		}
+		a.groups.add(rby.hash[g])
+		a.rep.appendRow(&rrep, g)
+		copy(a.states[a.newGroup()*len(a.aggs):], rstates[g])
 	}
 	a.spill = nil
 	return nil

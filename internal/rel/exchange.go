@@ -18,7 +18,7 @@ import (
 // a fixed order. Everything is bitwise-identical to the single-table
 // operators at any worker budget and any shard count:
 //
-//   - ExchangeJoin reproduces HashJoinSized's canonical output order
+//   - ExchangeJoin reproduces HashJoin's canonical output order
 //     because every probe row lives in exactly one shard: the per-shard
 //     probes write disjoint entries of one global per-row match-count
 //     array, a single serial prefix sum assigns output offsets in probe
@@ -30,27 +30,8 @@ import (
 //     lists are merged by ascending first-seen row, which is exactly
 //     the global first-seen order.
 //
-// The streaming counterparts (PartitionedBuild, ShardedAgg) give the
-// SQL pipeline the same shard-parallel build and accumulate with the
-// same bitwise contracts.
-
-// buildIndex is the lookup seam shared by the single radix-partitioned
-// join table and the sharded exchange table: probePairs only needs the
-// candidate build rows of a probe hash.
-type buildIndex interface {
-	lookup(h uint64) []int
-}
-
-// shardedTable is the exchange counterpart of joinTable: one hash map
-// per shard, selected by hash % shards.
-type shardedTable struct {
-	shards uint64
-	parts  []map[uint64][]int
-}
-
-func (t *shardedTable) lookup(h uint64) []int {
-	return t.parts[h%t.shards][h]
-}
+// The streaming counterpart is NewPartitionedBuild: the SQL pipeline's
+// join build side sharded the same way, with the same bitwise contract.
 
 // partitionRows splits row indices [0, len(h)) into per-shard row lists
 // by h[i] % shards: rows holds the concatenated lists, start[p]:start[p+1]
@@ -106,7 +87,7 @@ func partitionRows(c *exec.Ctx, h []uint64, shards int) (rows []int, start []int
 // hash-partitioned into shards, each shard builds and probes its own
 // hash table, and the shard outputs land in the canonical probe-order
 // layout through one global offset array. The result is
-// bitwise-identical to HashJoinSized at any worker budget and shard
+// bitwise-identical to HashJoin at any worker budget and shard
 // count. When ps is non-nil, one stage per shard reports the shard's
 // build rows and emitted pairs.
 func ExchangeJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType, shards int, ps *exec.PipelineStats) (res *Relation, err error) {
@@ -142,25 +123,10 @@ func ExchangeJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinTyp
 	}
 	leftOuter := jt == Left
 
-	// Shard the build side and build one hash table per shard. Row
+	// Shard the build side and build one flat table per shard. Row
 	// lists stay ascending (partitionRows is chunk-major), which is
 	// what keeps per-probe matches in build order.
-	sh := skc.hashes(c)
-	sRows, sStart := partitionRows(c, sh, shards)
-	tables := make([]map[uint64][]int, shards)
-	shardBuild := make([]int, shards)
-	c.ParallelFor(shards, 1, func(plo, phi int) {
-		for pt := plo; pt < phi; pt++ {
-			span := sRows[sStart[pt]:sStart[pt+1]]
-			mp := make(map[uint64][]int, len(span)/2+1)
-			for _, j := range span {
-				mp[sh[j]] = append(mp[sh[j]], j)
-			}
-			tables[pt] = mp
-			shardBuild[pt] = len(span)
-		}
-	})
-	c.Arena().FreeInts(sRows)
+	tables := buildPartIndex(c, skc.hashes(c), shards)
 
 	// Shard the probe side. Probe pass 1: per-shard match counting into
 	// one global per-row array — rows are disjoint across shards.
@@ -170,10 +136,10 @@ func ExchangeJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinTyp
 	counts := c.Arena().Ints(n)
 	c.ParallelFor(shards, 1, func(plo, phi int) {
 		for pt := plo; pt < phi; pt++ {
-			mp := tables[pt]
+			tab := tables.parts[pt]
 			for _, i := range rRows[rStart[pt]:rStart[pt+1]] {
 				cnt := 0
-				for _, j := range mp[rh[i]] {
+				for _, j := range tab.lookup(rh[i]) {
 					if rkc.equal(i, skc, j) {
 						cnt++
 					}
@@ -204,12 +170,12 @@ func ExchangeJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinTyp
 	shardPairs := make([]int, shards)
 	c.ParallelFor(shards, 1, func(plo, phi int) {
 		for pt := plo; pt < phi; pt++ {
-			mp := tables[pt]
+			tab := tables.parts[pt]
 			pairs := 0
 			for _, i := range rRows[rStart[pt]:rStart[pt+1]] {
 				k := counts[i]
 				wrote := false
-				for _, j := range mp[rh[i]] {
+				for _, j := range tab.lookup(rh[i]) {
 					if rkc.equal(i, skc, j) {
 						li[k] = i
 						ri[k] = j
@@ -232,7 +198,7 @@ func ExchangeJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinTyp
 	if ps != nil {
 		for pt := 0; pt < shards; pt++ {
 			ps.Stage(fmt.Sprintf("exchange.join[shard %d/%d]", pt, shards)).
-				Batch(shardPairs[pt], int64(shardBuild[pt])*8+int64(shardPairs[pt])*16)
+				Batch(shardPairs[pt], int64(tables.shardRows(pt))*8+int64(shardPairs[pt])*16)
 		}
 	}
 	rkc.release(c)
@@ -413,229 +379,4 @@ func ExchangeGroupBy(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec, sh
 		}
 	}
 	return New(r.Name, schema, cols)
-}
-
-// PartitionedBuild is the exchange counterpart of JoinBuild for the
-// streaming pipeline: the build side is hash-partitioned into shards
-// with one hash table each, probed one morsel at a time through the
-// same canonical probePairs path — so the morsel outputs concatenate
-// to exactly the single-table streamed join, and to HashJoinSized.
-type PartitionedBuild struct {
-	skc       *keyCols
-	table     *shardedTable
-	shardRows []int
-}
-
-// NewPartitionedBuild shards the build-side key columns. hint is the
-// expected number of distinct build keys (≤ 0 for the default sizing).
-func NewPartitionedBuild(c *exec.Ctx, buildKeys []*bat.BAT, shards, hint int) (*PartitionedBuild, error) {
-	if len(buildKeys) == 0 {
-		return nil, fmt.Errorf("rel: join build needs a non-empty key list")
-	}
-	if shards < 1 {
-		return nil, fmt.Errorf("rel: partitioned build needs at least one shard, got %d", shards)
-	}
-	skc := keyColsOf(c, buildKeys[0].Len(), buildKeys)
-	sh := skc.hashes(c)
-	rows, start := partitionRows(c, sh, shards)
-	parts := make([]map[uint64][]int, shards)
-	shardRows := make([]int, shards)
-	c.ParallelFor(shards, 1, func(plo, phi int) {
-		for pt := plo; pt < phi; pt++ {
-			span := rows[start[pt]:start[pt+1]]
-			szHint := len(span)/2 + 1
-			if hint > 0 && hint/shards < szHint {
-				szHint = hint/shards + 1
-			}
-			mp := make(map[uint64][]int, szHint)
-			for _, j := range span {
-				mp[sh[j]] = append(mp[sh[j]], j)
-			}
-			parts[pt] = mp
-			shardRows[pt] = len(span)
-		}
-	})
-	c.Arena().FreeInts(rows)
-	return &PartitionedBuild{
-		skc:       skc,
-		table:     &shardedTable{shards: uint64(shards), parts: parts},
-		shardRows: shardRows,
-	}, nil
-}
-
-// Rows returns the build-side row count.
-func (b *PartitionedBuild) Rows() int { return b.skc.n }
-
-// Shards returns the shard count.
-func (b *PartitionedBuild) Shards() int { return len(b.shardRows) }
-
-// ShardRows returns the number of build rows in shard pt.
-func (b *PartitionedBuild) ShardRows(pt int) int { return b.shardRows[pt] }
-
-// Probe joins one probe morsel against the sharded build side, with
-// JoinBuild.Probe's exact output contract.
-func (b *PartitionedBuild) Probe(c *exec.Ctx, probeKeys []*bat.BAT, leftOuter bool) (li, ri []int, anyUnmatched bool, err error) {
-	defer exec.CatchBudget(&err)
-	if len(probeKeys) == 0 {
-		return nil, nil, false, fmt.Errorf("rel: join probe needs a non-empty key list")
-	}
-	rkc := keyColsOf(c, probeKeys[0].Len(), probeKeys)
-	li, ri, anyUnmatched = probePairs(c, b.table, rkc, b.skc, leftOuter)
-	rkc.release(c)
-	return li, ri, anyUnmatched, nil
-}
-
-// Release hands back the build side's densified key buffers. The
-// PartitionedBuild must not be probed afterwards.
-func (b *PartitionedBuild) Release(c *exec.Ctx) {
-	if b == nil {
-		return
-	}
-	b.skc.release(c)
-	b.table = nil
-}
-
-// ShardedAgg is the exchange counterpart of StreamAgg: every row is
-// routed by key hash to one of P shard accumulators, all of which
-// flush their chunk partials on the *global* bat.SerialCutoff
-// boundaries (one shared chunk clock) — so each group's combine
-// sequence is identical to the single accumulator's, and Finish can
-// merge the shard groups by ascending first-seen row into exactly the
-// single accumulator's output. Sharded accumulators run in memory
-// (spilling aggregation stays with the materialized retry path).
-type ShardedAgg struct {
-	shards      []*StreamAgg
-	first       [][]int64 // per shard: global first-seen row per group
-	rowsInChunk int
-	seen        int64
-}
-
-// NewShardedAgg returns a sharded accumulator over the given grouping
-// keys; keys must be non-empty (a single global group has nothing to
-// partition on — use StreamAgg).
-func NewShardedAgg(name string, keys []string, keyTypes []bat.Type, aggs []AggSpec, shards, hint int) (*ShardedAgg, error) {
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("rel: sharded group-by needs grouping keys")
-	}
-	if shards < 1 {
-		return nil, fmt.Errorf("rel: sharded group-by needs at least one shard, got %d", shards)
-	}
-	sa := &ShardedAgg{
-		shards: make([]*StreamAgg, shards),
-		first:  make([][]int64, shards),
-	}
-	for p := range sa.shards {
-		a, err := NewStreamAgg(name, keys, keyTypes, aggs, hint/shards+1)
-		if err != nil {
-			return nil, err
-		}
-		sa.shards[p] = a
-	}
-	return sa, nil
-}
-
-// Shards returns the shard count.
-func (a *ShardedAgg) Shards() int { return len(a.shards) }
-
-// ShardGroups returns the number of groups shard pt holds so far.
-func (a *ShardedAgg) ShardGroups(pt int) int { return a.shards[pt].NumGroups() }
-
-// NumGroups returns the number of groups seen so far across shards.
-func (a *ShardedAgg) NumGroups() int {
-	n := 0
-	for _, s := range a.shards {
-		n += s.NumGroups()
-	}
-	return n
-}
-
-// Consume folds one morsel with StreamAgg.Consume's contract. Rows are
-// routed to shards by key hash; the chunk clock is global, so chunk
-// boundaries fall on the same absolute rows as the single accumulator's.
-func (a *ShardedAgg) Consume(keys []*bat.Vector, aggIn [][]float64, n int) error {
-	p := uint64(len(a.shards))
-	for i := 0; i < n; i++ {
-		if a.rowsInChunk == bat.SerialCutoff {
-			for _, s := range a.shards {
-				s.flushChunk()
-			}
-			a.rowsInChunk = 0
-		}
-		h := a.shards[0].hashKeyRow(keys, i)
-		pt := int(h % p)
-		s := a.shards[pt]
-		before := len(s.states)
-		if err := s.consumeRow(keys, aggIn, i, h); err != nil {
-			return err
-		}
-		if len(s.states) > before {
-			a.first[pt] = append(a.first[pt], a.seen)
-		}
-		a.rowsInChunk++
-		a.seen++
-	}
-	return nil
-}
-
-// Finish assembles the grouped relation: each shard finishes
-// independently, and the shard group lists merge by ascending global
-// first-seen row — StreamAgg.Finish's exact output, shape and order.
-func (a *ShardedAgg) Finish() (*Relation, error) {
-	rels := make([]*Relation, len(a.shards))
-	for pt, s := range a.shards {
-		r, err := s.Finish()
-		if err != nil {
-			return nil, err
-		}
-		rels[pt] = r
-	}
-	type ent struct {
-		pt, gi int
-		row    int64
-	}
-	var ents []ent
-	for pt, rows := range a.first {
-		for gi, row := range rows {
-			ents = append(ents, ent{pt, gi, row})
-		}
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].row < ents[j].row })
-
-	schema := rels[0].Schema
-	cols := make([]*bat.BAT, len(schema))
-	for j := range schema {
-		switch schema[j].Type {
-		case bat.Int:
-			views := make([][]int64, len(rels))
-			for pt := range rels {
-				views[pt] = rels[pt].Cols[j].Vector().Ints()
-			}
-			out := make([]int64, len(ents))
-			for k, e := range ents {
-				out[k] = views[e.pt][e.gi]
-			}
-			cols[j] = bat.FromInts(out)
-		case bat.String:
-			views := make([][]string, len(rels))
-			for pt := range rels {
-				views[pt] = rels[pt].Cols[j].Vector().Strings()
-			}
-			out := make([]string, len(ents))
-			for k, e := range ents {
-				out[k] = views[e.pt][e.gi]
-			}
-			cols[j] = bat.FromStrings(out)
-		default:
-			views := make([][]float64, len(rels))
-			for pt := range rels {
-				views[pt] = rels[pt].Cols[j].Vector().Floats()
-			}
-			out := make([]float64, len(ents))
-			for k, e := range ents {
-				out[k] = views[e.pt][e.gi]
-			}
-			cols[j] = bat.FromFloats(out)
-		}
-	}
-	return New(rels[0].Name, schema, cols)
 }

@@ -11,7 +11,7 @@ import (
 var exchangeShardGrid = []int{1, 2, 7, 16}
 
 // TestExchangeJoinBitwiseHashJoin: the radix-exchange join must be
-// bitwise-identical to HashJoinSized — same rows, same canonical order
+// bitwise-identical to HashJoin — same rows, same canonical order
 // — at worker budgets {1,2,8} and shard counts {1,2,7,16}, inner and
 // left outer, on sizes spanning multiple SerialCutoff chunks.
 func TestExchangeJoinBitwiseHashJoin(t *testing.T) {
@@ -21,7 +21,7 @@ func TestExchangeJoinBitwiseHashJoin(t *testing.T) {
 		for _, jt := range []JoinType{Inner, Left} {
 			var want *Relation
 			withWorkers(1, func() {
-				j, err := HashJoinSized(nil, r, s, []string{"r_k"}, []string{"s_k"}, jt, 0)
+				j, err := HashJoin(nil, r, s, []string{"r_k"}, []string{"s_k"}, jt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -35,7 +35,7 @@ func TestExchangeJoinBitwiseHashJoin(t *testing.T) {
 							t.Fatal(err)
 						}
 						if !equalRelations(got, want) {
-							t.Fatalf("ExchangeJoin n=%d jt=%d workers=%d shards=%d differs from HashJoinSized", n, jt, w, shards)
+							t.Fatalf("ExchangeJoin n=%d jt=%d workers=%d shards=%d differs from HashJoin", n, jt, w, shards)
 						}
 					})
 				}
@@ -120,12 +120,12 @@ func TestExchangePartitionedBuildMatchesJoinBuild(t *testing.T) {
 	bk, _ := build.Col("b_k")
 	for _, w := range []int{1, 2, 8} {
 		c := exec.New(w)
-		jb, err := NewJoinBuild(c, []*bat.BAT{bk}, 0)
+		jb, err := NewJoinBuild(c, []*bat.BAT{bk})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range exchangeShardGrid {
-			pb, err := NewPartitionedBuild(c, []*bat.BAT{bk}, shards, 0)
+			pb, err := NewPartitionedBuild(c, []*bat.BAT{bk}, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,72 +177,4 @@ func identityRange(lo, hi int) []int {
 		idx[i] = lo + i
 	}
 	return idx
-}
-
-// TestExchangeShardedAggMatchesStreamAgg feeds one morsel stream to a
-// single StreamAgg and to ShardedAggs at every shard count, asserting
-// bitwise-identical grouped relations. Morsel sizes are deliberately
-// unaligned to the SerialCutoff chunk clock.
-func TestExchangeShardedAggMatchesStreamAgg(t *testing.T) {
-	aggs := []AggSpec{
-		{Func: Count, As: "n"},
-		{Func: Sum, Attr: "a", As: "sa"},
-		{Func: Avg, Attr: "b", As: "ab"},
-		{Func: Min, Attr: "a", As: "ma"},
-		{Func: Max, Attr: "b", As: "xb"},
-	}
-	keys := []string{"k", "tag"}
-	kt := []bat.Type{bat.Int, bat.String}
-	for _, n := range []int{0, 1, bat.SerialCutoff + 1, 2*bat.SerialCutoff + 257} {
-		for _, morsel := range []int{bat.MorselSize, 777} {
-			r := aggRel(n, 97)
-			kcol, _ := r.Col("k")
-			tcol, _ := r.Col("tag")
-			acol, _ := r.Col("a")
-			bcol, _ := r.Col("b")
-			ints := kcol.Vector().Ints()
-			tags := tcol.Vector().Strings()
-			af := acol.Vector().Floats()
-			bf := bcol.Vector().Floats()
-
-			feed := func(consume func([]*bat.Vector, [][]float64, int) error) {
-				for lo := 0; lo < n; lo += morsel {
-					hi := min(lo+morsel, n)
-					kv := []*bat.Vector{bat.NewIntVector(ints[lo:hi]), bat.NewStringVector(tags[lo:hi])}
-					aggIn := [][]float64{nil, af[lo:hi], bf[lo:hi], af[lo:hi], bf[lo:hi]}
-					if err := consume(kv, aggIn, hi-lo); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-
-			single, err := NewStreamAgg("r", keys, kt, aggs, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed(single.Consume)
-			want, err := single.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for _, shards := range exchangeShardGrid {
-				sa, err := NewShardedAgg("r", keys, kt, aggs, shards, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				feed(sa.Consume)
-				if sa.NumGroups() != single.NumGroups() {
-					t.Fatalf("n=%d shards=%d: %d groups vs %d", n, shards, sa.NumGroups(), single.NumGroups())
-				}
-				got, err := sa.Finish()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !equalRelations(got, want) {
-					t.Fatalf("n=%d morsel=%d shards=%d: sharded aggregation differs from StreamAgg", n, morsel, shards)
-				}
-			}
-		}
-	}
 }

@@ -17,114 +17,6 @@ const (
 	Left
 )
 
-// joinTable is the hash-partitioned build-side index of HashJoin: rows of
-// the build relation grouped by key hash, split over 2^k partitions
-// selected by the low hash bits. Row lists are ascending, so probing
-// reproduces the canonical (build-order) match order no matter how the
-// table was built.
-type joinTable struct {
-	mask  uint64
-	parts []map[uint64][]int
-}
-
-func (t *joinTable) lookup(h uint64) []int {
-	return t.parts[h&t.mask][h]
-}
-
-// buildJoinTable indexes the build side from its row hashes with the
-// default sizing (half the rows distinct).
-func buildJoinTable(c *exec.Ctx, h []uint64) *joinTable {
-	return buildJoinTableSized(c, h, 0)
-}
-
-// buildJoinTableSized indexes the build side from its row hashes. Small
-// inputs (or a single-worker budget) build one partition serially; larger
-// ones are radix-partitioned in two parallel passes — per-chunk histograms,
-// then a scatter through chunk-major offsets — and the per-partition hash
-// tables are built in parallel. Chunk-major offsets keep every partition's
-// row list ascending regardless of the chunk decomposition, which is what
-// makes the join output independent of the worker budget.
-//
-// hint is the expected number of distinct keys: the hash maps are
-// pre-sized to it instead of growing incrementally. The partitioning
-// staging (histograms, offsets, the scattered row list) is charged to the
-// invocation's arena and released before return.
-func buildJoinTableSized(c *exec.Ctx, h []uint64, hint int) *joinTable {
-	m := len(h)
-	if hint <= 0 {
-		hint = m/2 + 1
-	}
-	if m <= bat.SerialCutoff || c.Workers() <= 1 {
-		part := make(map[uint64][]int, hint)
-		for j, hv := range h {
-			part[hv] = append(part[hv], j)
-		}
-		return &joinTable{mask: 0, parts: []map[uint64][]int{part}}
-	}
-	p := 1
-	for p < c.Workers() && p < 64 {
-		p <<= 1
-	}
-	mask := uint64(p - 1)
-	chunks, size := c.ParallelRuns(m)
-
-	hist := c.Arena().Ints(chunks * p)
-	clear(hist)
-	c.ParallelFor(chunks, 1, func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			row := hist[ch*p : (ch+1)*p]
-			for j := ch * size; j < min((ch+1)*size, m); j++ {
-				row[h[j]&mask]++
-			}
-		}
-	})
-	// Chunk-major prefix sums: partition pt holds chunk 0's rows, then
-	// chunk 1's, …, each ascending — so the whole partition is ascending.
-	partStart := make([]int, p+1)
-	pos := c.Arena().Ints(chunks * p)
-	off := 0
-	for pt := 0; pt < p; pt++ {
-		partStart[pt] = off
-		for ch := 0; ch < chunks; ch++ {
-			pos[ch*p+pt] = off
-			off += hist[ch*p+pt]
-		}
-	}
-	partStart[p] = off
-
-	rows := c.Arena().Ints(m)
-	c.ParallelFor(chunks, 1, func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			cursor := pos[ch*p : (ch+1)*p]
-			for j := ch * size; j < min((ch+1)*size, m); j++ {
-				pt := h[j] & mask
-				rows[cursor[pt]] = j
-				cursor[pt]++
-			}
-		}
-	})
-
-	parts := make([]map[uint64][]int, p)
-	c.ParallelFor(p, 1, func(plo, phi int) {
-		for pt := plo; pt < phi; pt++ {
-			span := rows[partStart[pt]:partStart[pt+1]]
-			szHint := len(span) / 2
-			if est := hint / p; est < szHint {
-				szHint = est
-			}
-			mp := make(map[uint64][]int, szHint+1)
-			for _, j := range span {
-				mp[h[j]] = append(mp[h[j]], j)
-			}
-			parts[pt] = mp
-		}
-	})
-	c.Arena().FreeInts(hist)
-	c.Arena().FreeInts(pos)
-	c.Arena().FreeInts(rows)
-	return &joinTable{mask: mask, parts: parts}
-}
-
 // joinPairs computes the matching (probe, build) row index pairs of an
 // equi-join between two typed key views: build a hash table on skc, probe
 // with rkc in two parallel passes — match counting, then a scatter through
@@ -134,8 +26,8 @@ func buildJoinTableSized(c *exec.Ctx, h []uint64, hint int) *joinTable {
 // slices come from the context's arena; callers done with them hand them
 // back with FreeInts.
 func joinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
-	table := buildJoinTable(c, skc.hashes(c))
-	return probePairs(c, table, rkc, skc, leftOuter)
+	sh := skc.hashes(c)
+	return probePairs(c, buildPartIndex(c, sh, joinShards(c, len(sh))), rkc, skc, leftOuter)
 }
 
 // probePairs is the probe phase of joinPairs over an already-built table:
@@ -145,18 +37,28 @@ func joinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (li, ri []int, an
 // streaming join probes the same table once per morsel through this
 // path, so morsel-probe pair sequences concatenate to exactly the
 // all-at-once sequence.
-func probePairs(c *exec.Ctx, table buildIndex, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
+func probePairs(c *exec.Ctx, table *partIndex, rkc, skc *keyCols, leftOuter bool) (li, ri []int, anyUnmatched bool) {
 	rh := rkc.hashes(c)
 	n := rkc.n
 
 	// Probe pass 1: matches per probe row.
 	counts := c.Arena().Ints(n)
 	c.ParallelFor(n, bat.SerialCutoff, func(lo, hi int) {
+		a, b := rkc.int1, skc.int1
 		for i := lo; i < hi; i++ {
 			cnt := 0
-			for _, j := range table.lookup(rh[i]) {
-				if rkc.equal(i, skc, j) {
-					cnt++
+			if a != nil && b != nil {
+				// A single Int key on both sides compares inline.
+				for _, j := range table.lookup(rh[i]) {
+					if b[j] == a[i] {
+						cnt++
+					}
+				}
+			} else {
+				for _, j := range table.lookup(rh[i]) {
+					if rkc.equal(i, skc, j) {
+						cnt++
+					}
 				}
 			}
 			counts[i] = cnt
@@ -181,8 +83,24 @@ func probePairs(c *exec.Ctx, table buildIndex, rkc, skc *keyCols, leftOuter bool
 	c.ParallelFor(n, bat.SerialCutoff, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k := counts[i]
+			cands := table.lookup(rh[i])
+			end := total
+			if i+1 < n {
+				end = counts[i+1]
+			}
+			// Every candidate matched in pass 1 (the usual case: no hash
+			// collision) when the first one does and the row's output
+			// span covers them all; copy them without comparing again.
+			if len(cands) > 0 && end-k == len(cands) && rkc.equal(i, skc, cands[0]) {
+				for _, j := range cands {
+					li[k] = i
+					ri[k] = j
+					k++
+				}
+				continue
+			}
 			wrote := false
-			for _, j := range table.lookup(rh[i]) {
+			for _, j := range cands {
 				if rkc.equal(i, skc, j) {
 					li[k] = i
 					ri[k] = j
@@ -229,20 +147,12 @@ func EquiJoinPairs(c *exec.Ctx, probeKeys, buildKeys []*bat.BAT, leftOuter bool)
 // unmatched rows carry zero values in the right-hand attributes.
 //
 // The join is hash-partitioned: typed 64-bit key hashes (no per-row string
-// materialization) index the build side s, and the probe over r runs in two
-// parallel passes — match counting, then a scatter through per-row output
-// offsets. Output order is canonical at any worker budget: probe rows in r
-// order, matches per probe row in s order.
-func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (*Relation, error) {
-	return HashJoinSized(c, r, s, rKeys, sKeys, jt, 0)
-}
-
-// HashJoinSized is HashJoin with a build-side cardinality hint: the
-// expected number of distinct build keys, used to pre-size the build hash
-// table instead of growing it incrementally. A hint ≤ 0 falls back to the
-// default sizing (half the build rows); the hint never affects the result,
-// only allocation behavior.
-func HashJoinSized(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType, buildHint int) (res *Relation, err error) {
+// materialization) index the build side s in a flat table (table.go), and
+// the probe over r runs in two parallel passes — match counting, then a
+// scatter through per-row output offsets. Output order is canonical at
+// any worker budget: probe rows in r order, matches per probe row in s
+// order.
+func HashJoin(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinType) (res *Relation, err error) {
 	defer exec.CatchBudget(&err)
 	if len(rKeys) != len(sKeys) || len(rKeys) == 0 {
 		return nil, fmt.Errorf("rel: join needs matching non-empty key lists")
@@ -279,8 +189,7 @@ func HashJoinSized(c *exec.Ctx, r, s *Relation, rKeys, sKeys []string, jt JoinTy
 	}
 
 	// Build on s, probe with r.
-	table := buildJoinTableSized(c, skc.hashes(c), buildHint)
-	li, ri, anyUnmatched := probePairs(c, table, rkc, skc, jt == Left)
+	li, ri, anyUnmatched := joinPairs(c, rkc, skc, jt == Left)
 	// The key views are done once the pairs exist; hand any densified
 	// sparse tails back to the per-query arena before the gathers below
 	// allocate the result columns.

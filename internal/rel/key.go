@@ -28,6 +28,18 @@ type keyCols struct {
 	i     [][]int64   // non-nil for Int columns
 	s     [][]string  // non-nil for String columns
 	owned [][]float64 // densified sparse tails drawn from the arena
+
+	// int1 is the key's only column when that column is Int: the common
+	// single integer key compares without the per-column type walk.
+	int1 []int64
+}
+
+// setInt1 refreshes int1 after kc's columns change.
+func (kc *keyCols) setInt1() {
+	kc.int1 = nil
+	if len(kc.i) == 1 {
+		kc.int1 = kc.i[0]
+	}
 }
 
 // release returns the densified sparse-key buffers to the context's
@@ -81,7 +93,56 @@ func keyColsOf(c *exec.Ctx, n int, cols []*bat.BAT) *keyCols {
 			kc.s[k] = v.Strings()
 		}
 	}
+	kc.setInt1()
 	return kc
+}
+
+// newKeyColsOfTypes returns an empty key table with one column per key
+// type, grown row by row with appendRow (the grouping accumulators'
+// representative keys).
+func newKeyColsOfTypes(types []bat.Type) keyCols {
+	return keyCols{
+		f: make([][]float64, len(types)),
+		i: make([][]int64, len(types)),
+		s: make([][]string, len(types)),
+	}
+}
+
+// bindVectors points kc at the typed backing slices of n-row vectors,
+// reusing kc's column tables.
+func (kc *keyCols) bindVectors(vecs []*bat.Vector, n int) {
+	if len(kc.f) != len(vecs) {
+		*kc = newKeyColsOfTypes(make([]bat.Type, len(vecs)))
+	}
+	kc.n = n
+	for k, v := range vecs {
+		kc.f[k], kc.i[k], kc.s[k] = nil, nil, nil
+		switch v.Type() {
+		case bat.Float:
+			kc.f[k] = v.Floats()
+		case bat.Int:
+			kc.i[k] = v.Ints()
+		default:
+			kc.s[k] = v.Strings()
+		}
+	}
+	kc.setInt1()
+}
+
+// appendRow appends row i of src (same column types) as kc's next row.
+func (kc *keyCols) appendRow(src *keyCols, i int) {
+	for k := range kc.f {
+		switch {
+		case src.f[k] != nil:
+			kc.f[k] = append(kc.f[k], src.f[k][i])
+		case src.i[k] != nil:
+			kc.i[k] = append(kc.i[k], src.i[k][i])
+		default:
+			kc.s[k] = append(kc.s[k], src.s[k][i])
+		}
+	}
+	kc.n++
+	kc.setInt1()
 }
 
 const (
@@ -114,38 +175,55 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// hashRow computes the composite key hash of row i. Numeric cells hash
-// through their canonical float bits so an Int key column hashes
-// identically to a Float key column holding the same values (cross-type
-// equi-joins land in the same bucket; exactness is restored by equal).
-func (kc *keyCols) hashRow(i int) uint64 {
-	h := uint64(fnvOffset64)
+// fnvHalf folds the low four bytes of w into an FNV-1a state, low byte
+// first; two calls fold a whole 8-byte word.
+func fnvHalf(h, w uint64) uint64 {
+	h = (h ^ (w & 0xff)) * fnvPrime64
+	h = (h ^ (w >> 8 & 0xff)) * fnvPrime64
+	h = (h ^ (w >> 16 & 0xff)) * fnvPrime64
+	return (h ^ (w >> 24 & 0xff)) * fnvPrime64
+}
+
+// hashInto writes the composite key hash of rows [lo, hi) to h[lo:hi],
+// one typed loop per key column. Numeric cells hash through their
+// canonical float bits so an Int key column hashes identically to a
+// Float key column holding the same values (cross-type equi-joins land
+// in the same bucket; exactness is restored by equal).
+func (kc *keyCols) hashInto(h []uint64, lo, hi int) {
+	h = h[lo:hi]
+	for i := range h {
+		h[i] = fnvOffset64
+	}
 	for k := range kc.f {
 		switch {
 		case kc.f[k] != nil:
-			w := canonBits(kc.f[k][i])
-			for b := 0; b < 64; b += 8 {
-				h = (h ^ (w >> b & 0xff)) * fnvPrime64
+			f := kc.f[k][lo:hi]
+			for i, x := range f {
+				w := canonBits(x)
+				h[i] = fnvHalf(fnvHalf(h[i], w), w>>32)
 			}
 		case kc.i[k] != nil:
-			w := canonBits(float64(kc.i[k][i]))
-			for b := 0; b < 64; b += 8 {
-				h = (h ^ (w >> b & 0xff)) * fnvPrime64
+			xs := kc.i[k][lo:hi]
+			for i, x := range xs {
+				w := canonBits(float64(x))
+				h[i] = fnvHalf(fnvHalf(h[i], w), w>>32)
 			}
-		default:
-			s := kc.s[k][i]
-			for b := 0; b < len(s); b++ {
-				h = (h ^ uint64(s[b])) * fnvPrime64
-			}
-			// Terminate the cell with its length so cell boundaries
-			// cannot be shifted between adjacent string keys.
-			w := uint64(len(s))
-			for b := 0; b < 64; b += 8 {
-				h = (h ^ (w >> b & 0xff)) * fnvPrime64
+		case kc.s[k] != nil:
+			ss := kc.s[k][lo:hi]
+			for i, s := range ss {
+				hv := h[i]
+				for b := 0; b < len(s); b++ {
+					hv = (hv ^ uint64(s[b])) * fnvPrime64
+				}
+				// Terminate the cell with its length so cell boundaries
+				// cannot be shifted between adjacent string keys.
+				h[i] = fnvHalf(fnvHalf(hv, uint64(len(s))), uint64(len(s))>>32)
 			}
 		}
 	}
-	return mix64(h)
+	for i := range h {
+		h[i] = mix64(h[i])
+	}
 }
 
 // hashes computes the key hash of every row, decomposed over the
@@ -153,9 +231,7 @@ func (kc *keyCols) hashRow(i int) uint64 {
 func (kc *keyCols) hashes(c *exec.Ctx) []uint64 {
 	h := make([]uint64, kc.n)
 	c.ParallelFor(kc.n, bat.SerialCutoff, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			h[i] = kc.hashRow(i)
-		}
+		kc.hashInto(h, lo, hi)
 	})
 	return h
 }
@@ -165,6 +241,13 @@ func (kc *keyCols) hashes(c *exec.Ctx) []uint64 {
 // bits (Int against Int compares exactly); string columns compare bytes;
 // a string column never equals a numeric one.
 func (kc *keyCols) equal(i int, other *keyCols, j int) bool {
+	if a, b := kc.int1, other.int1; a != nil && b != nil {
+		return a[i] == b[j]
+	}
+	return kc.equalCols(i, other, j)
+}
+
+func (kc *keyCols) equalCols(i int, other *keyCols, j int) bool {
 	for k := range kc.f {
 		switch {
 		case kc.i[k] != nil && other.i[k] != nil:

@@ -148,20 +148,17 @@ func (r *Relation) Distinct(c *exec.Ctx) *Relation {
 	n := r.NumRows()
 	kc := keyColsOf(c, n, r.Cols)
 	h := kc.hashes(c)
-	seen := make(map[uint64][]int, n)
+	seen := newGroupIndex(n)
 	idx := make([]int, 0, n)
+rows:
 	for i := 0; i < n; i++ {
-		dup := false
-		for _, j := range seen[h[i]] {
-			if kc.equal(i, kc, j) {
-				dup = true
-				break
+		for s, g := seen.first(h[i]); g >= 0; s, g = seen.next(s) {
+			if seen.hash[g] == h[i] && kc.equal(i, kc, idx[g]) {
+				continue rows
 			}
 		}
-		if !dup {
-			seen[h[i]] = append(seen[h[i]], i)
-			idx = append(idx, i)
-		}
+		seen.add(h[i])
+		idx = append(idx, i)
 	}
 	kc.release(c)
 	return r.Gather(c, idx)

@@ -66,17 +66,16 @@ func spilledJoinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (*SpilledP
 	var spilledBytes int64
 	parts := int64(0)
 
+	// The build rows of every partition, each list ascending, so
+	// per-key match lists replay in build order.
+	sRows, sStart := partitionRows(c, sh, pairParts)
+	defer c.Arena().FreeInts(sRows)
+
 	bufL := make([]int64, 0, bat.MorselSize)
 	bufR := make([]int64, 0, bat.MorselSize)
 	for pt := uint64(0); pt < pairParts; pt++ {
-		// Build this partition's table: build rows in ascending order,
-		// so per-key match lists replay in build order.
-		mp := make(map[uint64][]int, len(sh)/pairParts+1)
-		for j, hv := range sh {
-			if hv&(pairParts-1) == pt {
-				mp[hv] = append(mp[hv], j)
-			}
-		}
+		// Only this partition's table is resident.
+		tab := newFlatIndex(sh, sRows[sStart[pt]:sStart[pt+1]])
 		var w *store.Writer
 		flush := func() error {
 			if len(bufL) == 0 {
@@ -110,11 +109,11 @@ func spilledJoinPairs(c *exec.Ctx, rkc, skc *keyCols, leftOuter bool) (*SpilledP
 			return nil
 		}
 		for i, hv := range rh {
-			if hv&(pairParts-1) != pt {
+			if hv%pairParts != pt {
 				continue
 			}
 			wrote := false
-			for _, j := range mp[hv] {
+			for _, j := range tab.lookup(hv) {
 				if rkc.equal(i, skc, j) {
 					if err := emit(i, j); err != nil {
 						sp.Close()
@@ -439,9 +438,9 @@ func stagedFill(c *exec.Ctx, sp *SpilledPairs, cols []*bat.BAT, rightSide []bool
 }
 
 // joinSpillEst is the rough in-memory footprint the materializing join
-// would take beyond its inputs: the build table (~48 bytes per build
-// row between map headers and row lists) plus the pair arrays and probe
-// counts (~24 bytes per probe row before fan-out).
+// would take beyond its inputs: the build table (at most ~48 bytes per
+// build row between slot arrays, row ids and build scratch) plus the
+// pair arrays and probe counts (~24 bytes per probe row before fan-out).
 func joinSpillEst(probeRows, buildRows int) int64 {
 	return int64(buildRows)*48 + int64(probeRows)*24
 }
@@ -489,7 +488,7 @@ func (sp *SpilledPairs) Fill(c *exec.Ctx, leftCols, rightCols []*bat.BAT) ([]*ba
 	return stagedFill(c, sp, cols, sides)
 }
 
-// hashJoinSpilled is HashJoinSized's out-of-core path: pairs staged to
+// hashJoinSpilled is HashJoin's out-of-core path: pairs staged to
 // disk, gathered column intermediates staged likewise, result columns
 // materialized one at a time. The result is bitwise-identical to the
 // in-memory join.

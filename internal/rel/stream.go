@@ -17,29 +17,53 @@ import (
 // per row and aggregation folds rows into the same SerialCutoff-aligned
 // chunks regardless of how the morsels slice the input.
 
-// JoinBuild is the hash-partitioned build side of a streaming equi-join:
-// constructed once from the materialized build keys, then probed once
-// per morsel. Probe emits pairs in probe order with matches in build
-// order — the same canonical order as EquiJoinPairs — so concatenating
-// the per-morsel pair lists reproduces the all-at-once join exactly.
+// JoinBuild is the build side of a streaming equi-join: constructed
+// once from the materialized build keys, then probed once per morsel.
+// Probe emits pairs in probe order with matches in build order — the
+// same canonical order as EquiJoinPairs — so concatenating the
+// per-morsel pair lists reproduces the all-at-once join exactly, at any
+// shard count.
 type JoinBuild struct {
 	skc   *keyCols
-	table *joinTable
+	table *partIndex
 }
 
-// NewJoinBuild indexes the build-side key columns. hint is the expected
-// number of distinct build keys (≤ 0 for the default sizing).
-func NewJoinBuild(c *exec.Ctx, buildKeys []*bat.BAT, hint int) (*JoinBuild, error) {
+// NewJoinBuild indexes the build-side key columns with the default
+// fan-out: one flat table, radix-partitioned over the workers once the
+// build side passes bat.SerialCutoff rows.
+func NewJoinBuild(c *exec.Ctx, buildKeys []*bat.BAT) (*JoinBuild, error) {
 	if len(buildKeys) == 0 {
 		return nil, fmt.Errorf("rel: join build needs a non-empty key list")
 	}
-	bn := buildKeys[0].Len()
-	skc := keyColsOf(c, bn, buildKeys)
-	return &JoinBuild{skc: skc, table: buildJoinTableSized(c, skc.hashes(c), hint)}, nil
+	return newJoinBuild(c, buildKeys, joinShards(c, buildKeys[0].Len())), nil
+}
+
+// NewPartitionedBuild is NewJoinBuild with an explicit exchange fan-out:
+// the build side is hash-partitioned into shards (hash % shards), one
+// flat table each. The probe output does not depend on the shard count.
+func NewPartitionedBuild(c *exec.Ctx, buildKeys []*bat.BAT, shards int) (*JoinBuild, error) {
+	if len(buildKeys) == 0 {
+		return nil, fmt.Errorf("rel: join build needs a non-empty key list")
+	}
+	if shards < 1 {
+		return nil, fmt.Errorf("rel: partitioned build needs at least one shard, got %d", shards)
+	}
+	return newJoinBuild(c, buildKeys, shards), nil
+}
+
+func newJoinBuild(c *exec.Ctx, buildKeys []*bat.BAT, shards int) *JoinBuild {
+	skc := keyColsOf(c, buildKeys[0].Len(), buildKeys)
+	return &JoinBuild{skc: skc, table: buildPartIndex(c, skc.hashes(c), shards)}
 }
 
 // Rows returns the build-side row count.
 func (b *JoinBuild) Rows() int { return b.skc.n }
+
+// Shards returns the build side's shard count.
+func (b *JoinBuild) Shards() int { return len(b.table.parts) }
+
+// ShardRows returns the number of build rows in shard pt.
+func (b *JoinBuild) ShardRows(pt int) int { return b.table.shardRows(pt) }
 
 // Probe joins one probe morsel against the build side. probeKeys are the
 // morsel's key columns (same arity and pairing as the build keys).
@@ -89,22 +113,28 @@ type StreamAgg struct {
 	aggs []AggSpec
 	kt   []bat.Type
 
-	// Persistent per-group storage, in global first-seen order: one
-	// typed column per key (kf/ki/ks selected by kt), the group's key
-	// hash, and the merged aggregate states.
-	kf     [][]float64
-	ki     [][]int64
-	ks     [][]string
-	ghash  []uint64
-	states [][]aggState
-	byHash map[uint64][]int // hash -> group ids
+	// Persistent per-group storage, in global first-seen order: the
+	// group's key values (rep, one typed column per key), its key hash
+	// (in groups, which also indexes the groups by hash), and the merged
+	// aggregate states, len(aggs) per group.
+	ngroups int
+	rep     keyCols
+	groups  groupIndex
+	states  []aggState
 
-	// Current chunk: per-group partial states, keyed by merged group id,
-	// touched ids in chunk-local first-seen order.
-	chunkStates  [][]aggState
-	chunkTouched []int
-	chunkSlot    map[int]int
+	// Current chunk: per-group partial states (len(aggs) per touched
+	// group) in chunk-local first-seen order. slotOf maps a group id to
+	// its partial's slot, -1 while the group is untouched in this chunk.
+	chunkStates  []aggState
+	chunkTouched []int32
+	slotOf       []int32
 	rowsInChunk  int
+
+	// Per-morsel scratch: typed views of the morsel's key vectors, their
+	// hashes, and each row's chunk slot (-1 for a spilled row).
+	mk      keyCols
+	hbuf    []uint64
+	rowSlot []int32
 
 	// Out-of-core state (nil ctx disables spilling): once the resident
 	// group table crosses the spill policy's threshold it freezes — rows
@@ -135,86 +165,25 @@ func NewStreamAggCtx(c *exec.Ctx, name string, keys []string, keyTypes []bat.Typ
 	if len(keys) != len(keyTypes) {
 		return nil, fmt.Errorf("rel: %d grouping keys with %d types", len(keys), len(keyTypes))
 	}
-	if hint < 0 {
-		hint = 0
-	}
-	a := &StreamAgg{
-		name:      name,
-		keys:      keys,
-		aggs:      aggs,
-		kt:        keyTypes,
-		c:         c,
-		kf:        make([][]float64, len(keys)),
-		ki:        make([][]int64, len(keys)),
-		ks:        make([][]string, len(keys)),
-		byHash:    make(map[uint64][]int, hint),
-		chunkSlot: make(map[int]int, hint),
-	}
-	return a, nil
+	return &StreamAgg{
+		name:   name,
+		keys:   keys,
+		aggs:   aggs,
+		kt:     keyTypes,
+		c:      c,
+		rep:    newKeyColsOfTypes(keyTypes),
+		groups: newGroupIndex(hint),
+	}, nil
 }
 
-// hashKeyRow computes the composite key hash of row i of the morsel's
-// key vectors — the same canonical FNV-then-mix scheme as the
-// materializing keyCols, so equal keys always share a hash.
-func (a *StreamAgg) hashKeyRow(keys []*bat.Vector, i int) uint64 {
-	h := uint64(fnvOffset64)
-	for k, v := range keys {
-		switch a.kt[k] {
-		case bat.String:
-			s := v.Strings()[i]
-			for b := 0; b < len(s); b++ {
-				h = (h ^ uint64(s[b])) * fnvPrime64
-			}
-			w := uint64(len(s))
-			for b := 0; b < 64; b += 8 {
-				h = (h ^ (w >> b & 0xff)) * fnvPrime64
-			}
-		default:
-			var f float64
-			if a.kt[k] == bat.Int {
-				f = float64(v.Ints()[i])
-			} else {
-				f = v.Floats()[i]
-			}
-			w := canonBits(f)
-			for b := 0; b < 64; b += 8 {
-				h = (h ^ (w >> b & 0xff)) * fnvPrime64
-			}
-		}
-	}
-	return mix64(h)
-}
-
-// equalKeyRow reports whether row i of the morsel's key vectors matches
-// stored group g, with the materializing equality semantics.
-func (a *StreamAgg) equalKeyRow(keys []*bat.Vector, i, g int) bool {
-	for k := range a.kt {
-		switch a.kt[k] {
-		case bat.Int:
-			if keys[k].Ints()[i] != a.ki[k][g] {
-				return false
-			}
-		case bat.String:
-			if keys[k].Strings()[i] != a.ks[k][g] {
-				return false
-			}
-		default:
-			if canonBits(keys[k].Floats()[i]) != canonBits(a.kf[k][g]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// groupOfHash returns the merged group id of row i (whose key hash is
-// h), creating the group (and storing the row's key values as its
+// groupOf returns the merged group id of morsel row i (whose key hash
+// is h), creating the group (and storing the row's key values as its
 // representative) when absent. Once the table is frozen, rows of unseen
 // keys return ok == false and must be spilled; resident groups keep
 // folding in memory.
-func (a *StreamAgg) groupOfHash(h uint64, keys []*bat.Vector, i int) (id int, ok bool) {
-	for _, g := range a.byHash[h] {
-		if a.equalKeyRow(keys, i, g) {
+func (a *StreamAgg) groupOf(h uint64, i int) (id int, ok bool) {
+	for s, g := a.groups.first(h); g >= 0; s, g = a.groups.next(s) {
+		if a.groups.hash[g] == h && a.mk.equal(i, &a.rep, g) {
 			return g, true
 		}
 	}
@@ -224,120 +193,126 @@ func (a *StreamAgg) groupOfHash(h uint64, keys []*bat.Vector, i int) (id int, ok
 	// The resident table is about to grow: freeze it when the spill
 	// policy says its footprint is large enough to stage the tail of the
 	// key space on disk instead.
-	if !a.frozen && a.c.ShouldSpill(a.residentEst()) {
+	if a.c.ShouldSpill(a.residentEst()) {
 		a.frozen = true
 		return 0, false
 	}
-	g := len(a.states)
-	a.byHash[h] = append(a.byHash[h], g)
-	a.ghash = append(a.ghash, h)
-	a.states = append(a.states, newAggStates(len(a.aggs)))
-	for k := range a.kt {
-		switch a.kt[k] {
-		case bat.Int:
-			a.ki[k] = append(a.ki[k], keys[k].Ints()[i])
-		case bat.String:
-			a.ks[k] = append(a.ks[k], keys[k].Strings()[i])
-		default:
-			a.kf[k] = append(a.kf[k], keys[k].Floats()[i])
-		}
-	}
-	return g, true
+	a.groups.add(h)
+	a.rep.appendRow(&a.mk, i)
+	return a.newGroup(), true
+}
+
+// newGroup appends zeroed merged states for the next group id.
+func (a *StreamAgg) newGroup() int {
+	g := a.ngroups
+	a.ngroups++
+	a.states = appendAggStates(a.states, len(a.aggs))
+	a.slotOf = append(a.slotOf, -1)
+	return g
 }
 
 // residentEst is the rough in-memory footprint of the resident group
-// table: states, key representatives, and hash-map overhead per group.
+// table: states, key representatives, and index overhead per group.
 func (a *StreamAgg) residentEst() int64 {
 	per := int64(64 + 32*len(a.aggs) + 24*len(a.keys))
-	return int64(len(a.states)) * per
-}
-
-// chunkStateOf returns the current chunk's partial states for merged
-// group g, creating them on the group's first row in this chunk.
-func (a *StreamAgg) chunkStateOf(g int) []aggState {
-	if slot, ok := a.chunkSlot[g]; ok {
-		return a.chunkStates[slot]
-	}
-	st := newAggStates(len(a.aggs))
-	a.chunkSlot[g] = len(a.chunkTouched)
-	a.chunkTouched = append(a.chunkTouched, g)
-	a.chunkStates = append(a.chunkStates, st)
-	return st
+	return int64(a.ngroups) * per
 }
 
 // flushChunk combines the chunk partials into the merged states in
 // chunk-local first-seen order and resets the chunk.
 func (a *StreamAgg) flushChunk() {
+	na := len(a.aggs)
 	for slot, g := range a.chunkTouched {
-		for k := range a.aggs {
-			a.states[g][k].combine(&a.chunkStates[slot][k])
+		merged := a.states[int(g)*na : int(g+1)*na]
+		part := a.chunkStates[slot*na : (slot+1)*na]
+		for k := range merged {
+			merged[k].combine(&part[k])
 		}
+		a.slotOf[g] = -1
 	}
 	a.chunkStates = a.chunkStates[:0]
 	a.chunkTouched = a.chunkTouched[:0]
-	clear(a.chunkSlot)
 	a.rowsInChunk = 0
 }
 
 // Consume folds one morsel: keys holds the grouping key vectors (nil or
 // empty for the global group), aggIn one float view per aggregate (nil
 // for COUNT(*)), n the morsel's row count. Morsels must arrive in
-// stream order; rows are folded serially — at MorselSize ≤ SerialCutoff
-// the materializing path's chunks are serial too. The error is always
-// nil unless the accumulator is spilling and disk I/O fails.
+// stream order; the morsel's key hashes are computed in one typed pass,
+// then rows are folded serially — at MorselSize ≤ SerialCutoff the
+// materializing path's chunks are serial too. The error is always nil
+// unless the accumulator is spilling and disk I/O fails.
 func (a *StreamAgg) Consume(keys []*bat.Vector, aggIn [][]float64, n int) error {
-	for i := 0; i < n; i++ {
+	keyed := len(a.keys) > 0
+	if keyed {
+		a.mk.bindVectors(keys, n)
+		if cap(a.hbuf) < n {
+			a.hbuf = make([]uint64, n)
+		}
+		a.mk.hashInto(a.hbuf[:n], 0, n)
+	} else if a.ngroups == 0 && n > 0 {
+		a.newGroup()
+	}
+	if cap(a.rowSlot) < n {
+		a.rowSlot = make([]int32, n)
+	}
+	na := len(a.aggs)
+	base := a.seen
+	g, prev := 0, -1 // group of the previous resident row (prev), if any
+	for i := 0; i < n; {
 		if a.rowsInChunk == bat.SerialCutoff {
 			a.flushChunk()
 		}
-		var h uint64
-		if len(a.keys) > 0 {
-			h = a.hashKeyRow(keys, i)
-		}
-		if err := a.consumeRow(keys, aggIn, i, h); err != nil {
-			return err
-		}
-		a.rowsInChunk++
-	}
-	return nil
-}
-
-// consumeRow folds one row whose key hash is h (ignored for the global
-// group). The caller owns the chunk clock: ShardedAgg flushes all of
-// its shard accumulators on global SerialCutoff boundaries, while
-// Consume above keeps the single-accumulator clock.
-func (a *StreamAgg) consumeRow(keys []*bat.Vector, aggIn [][]float64, i int, h uint64) error {
-	g := 0
-	if len(a.keys) > 0 {
-		gg, ok := a.groupOfHash(h, keys, i)
-		if !ok {
-			// Unseen key after the freeze: stage the row to disk. It
-			// still occupies its global chunk position.
-			if err := a.spillRow(keys, aggIn, i, h); err != nil {
-				return err
+		lo, end := i, min(n, i+bat.SerialCutoff-a.rowsInChunk)
+		a.rowsInChunk += end - i
+		// Resolve every row's chunk slot, then fold the aggregates one
+		// column at a time. Each partial state still sees its rows in
+		// row order, so sums associate exactly as a row-at-a-time fold.
+		for ; i < end; i++ {
+			if keyed {
+				// Runs of equal keys (a probe row's join matches, clustered
+				// input) reuse the previous row's group without a lookup.
+				h := a.hbuf[i]
+				if prev < 0 || a.hbuf[prev] != h || !a.mk.equal(i, &a.mk, prev) {
+					var ok bool
+					if g, ok = a.groupOf(h, i); !ok {
+						// Unseen key after the freeze: stage the row to disk.
+						// It still occupies its global chunk position.
+						a.seen = base + int64(i)
+						if err := a.spillRow(keys, aggIn, i, h); err != nil {
+							return err
+						}
+						a.rowSlot[i] = -1
+						prev = -1
+						continue
+					}
+				}
+				prev = i
 			}
-			a.seen++
-			return nil
+			slot := a.slotOf[g]
+			if slot < 0 {
+				slot = int32(len(a.chunkTouched))
+				a.slotOf[g] = slot
+				a.chunkTouched = append(a.chunkTouched, int32(g))
+				a.chunkStates = appendAggStates(a.chunkStates, na)
+			}
+			a.rowSlot[i] = slot
 		}
-		g = gg
-	} else if len(a.states) == 0 {
-		a.ghash = append(a.ghash, 0)
-		a.states = append(a.states, newAggStates(len(a.aggs)))
-	}
-	st := a.chunkStateOf(g)
-	for k := range a.aggs {
-		var col []float64
-		if aggIn[k] != nil {
-			col = aggIn[k][i : i+1]
+		for k := range a.aggs {
+			col := aggIn[k]
+			for r := lo; r < end; r++ {
+				if slot := int(a.rowSlot[r]); slot >= 0 {
+					a.chunkStates[slot*na+k].accumulate(col, r)
+				}
+			}
 		}
-		st[k].accumulate(col, 0)
 	}
-	a.seen++
+	a.seen = base + int64(n)
 	return nil
 }
 
 // NumGroups returns the number of groups seen so far.
-func (a *StreamAgg) NumGroups() int { return len(a.states) }
+func (a *StreamAgg) NumGroups() int { return a.ngroups }
 
 // Finish flushes the last partial chunk and assembles the grouped
 // relation: key columns first (the stored representatives, in global
@@ -354,18 +329,19 @@ func (a *StreamAgg) Finish() (*Relation, error) {
 			return nil, err
 		}
 	}
-	nGroups := len(a.states)
-	schema := make(Schema, 0, len(a.keys)+len(a.aggs))
-	cols := make([]*bat.BAT, 0, len(a.keys)+len(a.aggs))
+	nGroups := a.ngroups
+	na := len(a.aggs)
+	schema := make(Schema, 0, len(a.keys)+na)
+	cols := make([]*bat.BAT, 0, len(a.keys)+na)
 	for k, name := range a.keys {
 		schema = append(schema, Attr{Name: name, Type: a.kt[k]})
 		switch a.kt[k] {
 		case bat.Int:
-			cols = append(cols, bat.FromInts(a.ki[k][:nGroups:nGroups]))
+			cols = append(cols, bat.FromInts(a.rep.i[k][:nGroups:nGroups]))
 		case bat.String:
-			cols = append(cols, bat.FromStrings(a.ks[k][:nGroups:nGroups]))
+			cols = append(cols, bat.FromStrings(a.rep.s[k][:nGroups:nGroups]))
 		default:
-			cols = append(cols, bat.FromFloats(a.kf[k][:nGroups:nGroups]))
+			cols = append(cols, bat.FromFloats(a.rep.f[k][:nGroups:nGroups]))
 		}
 	}
 	for k, sp := range a.aggs {
@@ -377,14 +353,14 @@ func (a *StreamAgg) Finish() (*Relation, error) {
 		case Count:
 			out := make([]int64, nGroups)
 			for g := range out {
-				out[g] = a.states[g][k].count
+				out[g] = a.states[g*na+k].count
 			}
 			schema = append(schema, Attr{Name: name, Type: bat.Int})
 			cols = append(cols, bat.FromInts(out))
 		default:
 			out := make([]float64, nGroups)
 			for g := range out {
-				st := &a.states[g][k]
+				st := &a.states[g*na+k]
 				switch sp.Func {
 				case Sum:
 					out[g] = st.sum

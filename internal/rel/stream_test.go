@@ -152,7 +152,7 @@ func TestStreamingJoinProbeMatchesEquiJoinPairs(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			jb, err := NewJoinBuild(c, buildKeys, 0)
+			jb, err := NewJoinBuild(c, buildKeys)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,32 +186,15 @@ func TestStreamingJoinProbeMatchesEquiJoinPairs(t *testing.T) {
 	}
 }
 
-// TestStreamingSizedVariantsMatchBase pins HashJoinSized and GroupBySized
-// to their default-sized originals: the hint may only change allocation
-// behavior, never the result.
+// TestStreamingSizedVariantsMatchBase pins GroupBySized to its
+// default-sized original: the hint may only change allocation behavior,
+// never the result.
 func TestStreamingSizedVariantsMatchBase(t *testing.T) {
 	n := 2*bat.SerialCutoff + 17
 	r := aggRel(n, 512)
-	s, err := aggRel(3000, 512).Rename(map[string]string{"tag": "stag", "a": "sa", "b": "sb"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for _, workers := range []int{1, 8} {
 		c := exec.NewCtx(workers, nil, nil)
 		for _, hint := range []int{1, 512, 10 * n} {
-			base, err := HashJoin(c, r, s, []string{"k"}, []string{"k"}, Inner)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sized, err := HashJoinSized(c, r, s, []string{"k"}, []string{"k"}, Inner, hint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalRelations(base, sized) {
-				t.Fatalf("workers=%d hint=%d: HashJoinSized differs from HashJoin", workers, hint)
-			}
-
 			aggs := []AggSpec{{Func: Sum, Attr: "a", As: "sa"}, {Func: Count, As: "n"}}
 			gbase, err := GroupBy(c, r, []string{"k"}, aggs)
 			if err != nil {

@@ -584,11 +584,19 @@ func (db *DB) runInsert(c *exec.Ctx, x *InsertStmt) error {
 			}
 			vals := make([]bat.Value, len(rowExprs))
 			for k, e := range rowExprs {
-				c, err := compileExpr(e, nil)
+				ex, err := compileExpr(e, nil)
 				if err != nil {
 					return err
 				}
-				vals[k] = c.fn(0)
+				if ex.lit {
+					vals[k] = ex.konst
+					continue
+				}
+				v, err := ex.vals(0, 1, nil)
+				if err != nil {
+					return err
+				}
+				vals[k] = valueAt(ex.typ, v, 0)
 			}
 			if err := b.Add(vals...); err != nil {
 				return err
@@ -967,22 +975,27 @@ func keyCols(s *source, exprs []Expr) ([]*bat.BAT, error) {
 	n := s.rel.NumRows()
 	cols := make([]*bat.BAT, len(exprs))
 	for k, e := range exprs {
-		c, err := compileExpr(e, s)
+		ex, err := compileExpr(e, s)
 		if err != nil {
 			return nil, err
 		}
-		cols[k] = materialize(c, n)
+		if cols[k], err = materialize(ex, n); err != nil {
+			return nil, err
+		}
 	}
 	return cols, nil
 }
 
 func filterSource(c *exec.Ctx, s *source, pred Expr) (*source, error) {
-	comp, err := compileExpr(pred, s)
+	ex, err := compileExpr(pred, s)
 	if err != nil {
 		return nil, err
 	}
-	filtered := s.rel.Select(c, func(i int) bool { return truthy(comp.fn(i)) })
-	return &source{rel: filtered, syms: s.syms}, nil
+	idx, err := selectRows([]*expr{ex}, s.rel.NumRows())
+	if err != nil {
+		return nil, err
+	}
+	return &source{rel: s.rel.Gather(c, idx), syms: s.syms}, nil
 }
 
 // --- SELECT pipeline -------------------------------------------------------
@@ -1063,18 +1076,18 @@ func (db *DB) execSelectMaterialized(c *exec.Ctx, sel *SelectStmt) (*rel.Relatio
 	return finishSelect(c, sel, items, src)
 }
 
-// projectMeta resolves the projection: compiled evaluators over the
+// projectMeta resolves the projection: compiled expressions over the
 // given source plus the output schema and symbols, with the duplicate
 // name disambiguation the dialect applies. Both pipelines (and the
 // streaming planner's dry run) funnel through it, so output naming and
 // typing can never diverge between them.
-func projectMeta(items []SelectItem, src *source) (rel.Schema, []sym, []*compiled, error) {
+func projectMeta(items []SelectItem, fr *frame) (rel.Schema, []sym, []*expr, error) {
 	outSchema := make(rel.Schema, len(items))
 	outSyms := make([]sym, len(items))
-	comps := make([]*compiled, len(items))
+	comps := make([]*expr, len(items))
 	seen := map[string]int{}
 	for k, it := range items {
-		comp, err := compileExpr(it.Expr, src)
+		comp, err := fr.compile(it.Expr)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -1111,14 +1124,18 @@ func projectMeta(items []SelectItem, src *source) (rel.Schema, []sym, []*compile
 // materialized by the time grouping completes), so the tail semantics
 // cannot diverge between pipelines.
 func finishSelect(c *exec.Ctx, sel *SelectStmt, items []SelectItem, src *source) (*rel.Relation, error) {
-	outSchema, outSyms, comps, err := projectMeta(items, src)
+	fr := frameOf(src)
+	outSchema, outSyms, comps, err := projectMeta(items, fr)
 	if err != nil {
 		return nil, err
 	}
+	fr.bindRel(src.rel)
 	n := src.rel.NumRows()
 	outCols := make([]*bat.BAT, len(items))
 	for k := range comps {
-		outCols[k] = materialize(comps[k], n)
+		if outCols[k], err = materialize(comps[k], n); err != nil {
+			return nil, err
+		}
 	}
 	out, err := rel.New("", outSchema, outCols)
 	if err != nil {
@@ -1186,11 +1203,13 @@ func orderKey(c *exec.Ctx, e Expr, s *source) (col *bat.BAT, vec *bat.Vector, er
 		}
 		return s.rel.Cols[k], nil, nil
 	}
-	comp, err := compileExpr(e, s)
+	ex, err := compileExpr(e, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	vec = materializeVec(c, comp, s.rel.NumRows())
+	if vec, err = materializeVec(c, ex, s.rel.NumRows()); err != nil {
+		return nil, nil, err
+	}
 	return bat.FromVector(vec), vec, nil
 }
 
@@ -1248,8 +1267,12 @@ func groupSource(c *exec.Ctx, src *source, groupBy []Expr, aggs []*FuncCall) (*s
 			return nil, err
 		}
 		name := fmt.Sprintf("g%d", k)
+		col, err := materialize(comp, n)
+		if err != nil {
+			return nil, err
+		}
 		schema = append(schema, rel.Attr{Name: name, Type: comp.typ})
-		cols = append(cols, materialize(comp, n))
+		cols = append(cols, col)
 		keyNames = append(keyNames, name)
 	}
 	specs := make([]rel.AggSpec, len(aggs))
@@ -1265,8 +1288,12 @@ func groupSource(c *exec.Ctx, src *source, groupBy []Expr, aggs []*FuncCall) (*s
 				return nil, err
 			}
 			name := fmt.Sprintf("a%d", k)
+			col, err := materialize(comp, n)
+			if err != nil {
+				return nil, err
+			}
 			schema = append(schema, rel.Attr{Name: name, Type: comp.typ})
-			cols = append(cols, materialize(comp, n))
+			cols = append(cols, col)
 			spec.Attr = name
 		} else if fn != rel.Count {
 			return nil, fmt.Errorf("sql: %s(*) not supported", a.Name)

@@ -53,14 +53,6 @@ type streamNode struct {
 	outTypes []bat.Type // types of the emitted columns
 	needed   []int      // leaf/right-side column indexes kept by pruning
 
-	// partKeys is the partitioning property of this node's output: the
-	// canonical forms of the probe-side equi keys when the node is an
-	// equi-join (whose build side the runtime may radix-partition into
-	// shards on those key hashes). A downstream group-by over the same
-	// keys rides that partitioning instead of re-shuffling.
-	partKeys []string
-
-	bschema rel.Schema // cached internal-name schema for morsel sources
 }
 
 // planNode recursively shapes a table expression: joins keep streaming
@@ -166,14 +158,14 @@ func neededCols(refs []*ColRef, s *source) (idx []int, syms []sym, types []bat.T
 
 // check splits every ON clause into equi keys and residual, then
 // dry-compiles all the expressions the streaming runtime will compile
-// per morsel against zero-row prototype sources carrying the final
-// (pruned) symbol tables. A failure means the runtime could error where
+// against unbound frames carrying the final (pruned) symbol tables —
+// name resolution and typing never depend on row data. A failure means the runtime could error where
 // the materializing path reports differently, so the caller falls back.
 func (n *streamNode) check() error {
 	if n.leaf != nil {
-		proto := protoOf(n.leaf)
+		proto := frameOf(n.leaf)
 		for _, p := range n.pred {
-			if _, err := compileExpr(p, proto); err != nil {
+			if _, err := proto.compile(p); err != nil {
 				return err
 			}
 		}
@@ -182,9 +174,9 @@ func (n *streamNode) check() error {
 	if err := n.left.check(); err != nil {
 		return err
 	}
-	rightProto := protoOf(n.right)
+	rightProto := frameOf(n.right)
 	for _, p := range n.rightPred {
-		if _, err := compileExpr(p, rightProto); err != nil {
+		if _, err := rightProto.compile(p); err != nil {
 			return err
 		}
 	}
@@ -197,96 +189,42 @@ func (n *streamNode) check() error {
 			// Nested-loop fallback: cross then filter on the whole ON.
 			n.residual = []Expr{n.on}
 		}
-		for _, e := range n.lk {
-			n.partKeys = append(n.partKeys, keyOf(e))
-		}
 	}
-	leftProto := protoSource(n.left.outSyms, n.left.outTypes)
+	leftProto := n.left.morselFrame()
 	for _, e := range n.lk {
-		if _, err := compileExpr(e, leftProto); err != nil {
+		if _, err := leftProto.compile(e); err != nil {
 			return err
 		}
 	}
 	for _, e := range n.rk {
-		if _, err := compileExpr(e, rightProto); err != nil {
+		if _, err := rightProto.compile(e); err != nil {
 			return err
 		}
 	}
-	outProto := protoSource(n.outSyms, n.outTypes)
+	outProto := n.morselFrame()
 	for _, e := range n.residual {
-		if _, err := compileExpr(e, outProto); err != nil {
+		if _, err := outProto.compile(e); err != nil {
 			return err
 		}
 	}
 	for _, e := range n.post {
-		if _, err := compileExpr(e, outProto); err != nil {
+		if _, err := outProto.compile(e); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// finalize pre-builds the morsel schema of every node in the tree.
-// planStream calls it once planning succeeds, so concurrent executions
-// of a shared (cached) plan never race on the lazily built bschema.
-func (n *streamNode) finalize() {
-	n.batchSchema()
-	if n.left != nil {
-		n.left.finalize()
-	}
+// morselFrame returns a fresh frame over the node's emitted columns:
+// expressions evaluated per morsel compile against it once per
+// operator, and each morsel is bound in turn.
+func (n *streamNode) morselFrame() *frame {
+	return newFrame(n.outSyms, n.outTypes)
 }
 
-// batchSchema returns the node's internal-name schema for wrapping
-// morsels as expression sources, built once.
-func (n *streamNode) batchSchema() rel.Schema {
-	if n.bschema == nil {
-		n.bschema = make(rel.Schema, len(n.outSyms))
-		for k := range n.outSyms {
-			n.bschema[k] = rel.Attr{Name: internalName(k), Type: n.outTypes[k]}
-		}
-	}
-	return n.bschema
-}
-
-// batchSource wraps one morsel as a source so the ordinary expression
-// compiler evaluates against it with row indexes local to the morsel.
-func (n *streamNode) batchSource(b *bat.Batch) *source {
-	cols := make([]*bat.BAT, b.NumCols())
-	for k := range cols {
-		cols[k] = bat.FromVector(b.Col(k))
-	}
-	return &source{rel: &rel.Relation{Schema: n.batchSchema(), Cols: cols}, syms: n.outSyms}
-}
-
-// protoSource builds a zero-row source with the given symbols and types:
-// a compile target for plan-time checks, since name resolution and
-// typing never depend on row data.
-func protoSource(syms []sym, types []bat.Type) *source {
-	schema := make(rel.Schema, len(syms))
-	cols := make([]*bat.BAT, len(syms))
-	for k := range syms {
-		schema[k] = rel.Attr{Name: internalName(k), Type: types[k]}
-		switch types[k] {
-		case bat.Int:
-			cols[k] = bat.FromInts(nil)
-		case bat.String:
-			cols[k] = bat.FromStrings(nil)
-		default:
-			cols[k] = bat.FromFloats(nil)
-		}
-	}
-	return &source{rel: &rel.Relation{Schema: schema, Cols: cols}, syms: syms}
-}
-
-// protoOf is protoSource over an existing source's symbols and types —
-// used so plan-time compiles never touch the source's columns (binding a
-// sparse column would densify it just for a type check).
-func protoOf(s *source) *source {
-	types := make([]bat.Type, len(s.rel.Schema))
-	for k := range s.rel.Schema {
-		types[k] = s.rel.Schema[k].Type
-	}
-	return protoSource(s.syms, types)
+// frameOf returns an unbound frame over a source's symbols and types.
+func frameOf(s *source) *frame {
+	return newFrame(s.syms, typesOfSchema(s.rel.Schema))
 }
 
 func typesOfSchema(s rel.Schema) []bat.Type {
@@ -319,13 +257,6 @@ type groupPlan struct {
 	keyTypes []bat.Type
 	specs    []rel.AggSpec
 	argExprs []Expr
-
-	// coPart is set when the grouping keys are exactly the root join's
-	// partitioning keys (streamNode.partKeys): the rows reaching the
-	// group stage are already hash-partitioned on them, so the stage may
-	// shard its accumulators on the same key hashes — parallel grouping
-	// with no re-shuffle — instead of folding into a single table.
-	coPart bool
 }
 
 // planStream plans one SELECT for streaming execution. Any error —
@@ -383,17 +314,15 @@ func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 	if err := root.check(); err != nil {
 		return nil, err
 	}
-	root.finalize()
 
 	plan := &selectPlan{root: root, items: items}
-	proto := protoSource(root.outSyms, root.outTypes)
+	proto := root.morselFrame()
 	aggs := findAggregates(items, sel.Having)
 	if len(aggs) > 0 || len(sel.GroupBy) > 0 {
 		gp, err := planGroup(sel, aggs, proto)
 		if err != nil {
 			return nil, err
 		}
-		gp.coPart = coPartitioned(root.partKeys, sel.GroupBy)
 		plan.group = gp
 		return plan, nil
 	}
@@ -409,9 +338,9 @@ func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 		// The materializing path can fall back to sorting on
 		// pre-projection columns; the streaming path discards them, so it
 		// only takes ORDER BY that compiles against the projected output.
-		outProto := protoSource(syms, typesOfSchema(schema))
+		outProto := newFrame(syms, typesOfSchema(schema))
 		for _, ob := range sel.OrderBy {
-			if _, err := compileExpr(ob.Expr, outProto); err != nil {
+			if _, err := outProto.compile(ob.Expr); err != nil {
 				return nil, err
 			}
 		}
@@ -419,34 +348,13 @@ func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 	return plan, nil
 }
 
-// coPartitioned reports whether the grouping keys and the partitioning
-// keys are the same set of expressions (canonical-form comparison):
-// only then does every row of one group reach exactly one shard of the
-// existing partitioning, so the group stage can shard without its own
-// shuffle.
-func coPartitioned(partKeys []string, groupBy []Expr) bool {
-	if len(groupBy) == 0 || len(partKeys) != len(groupBy) {
-		return false
-	}
-	part := make(map[string]bool, len(partKeys))
-	for _, k := range partKeys {
-		part[k] = true
-	}
-	for _, g := range groupBy {
-		if !part[keyOf(g)] {
-			return false
-		}
-	}
-	return true
-}
-
 // planGroup mirrors groupSource's shape checks and resolves the key and
 // aggregate-input expressions the streaming group stage evaluates per
 // morsel.
-func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *source) (*groupPlan, error) {
+func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *frame) (*groupPlan, error) {
 	gp := &groupPlan{aggs: aggs}
 	for k, g := range sel.GroupBy {
-		comp, err := compileExpr(g, proto)
+		comp, err := proto.compile(g)
 		if err != nil {
 			return nil, err
 		}
@@ -467,7 +375,7 @@ func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *source) (*groupPlan, er
 			if len(a.Args) != 1 {
 				return nil, fmt.Errorf("sql: %s takes one argument", a.Name)
 			}
-			comp, err := compileExpr(a.Args[0], proto)
+			comp, err := proto.compile(a.Args[0])
 			if err != nil {
 				return nil, err
 			}

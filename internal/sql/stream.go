@@ -41,8 +41,8 @@ type rowStream interface {
 type scanStream struct {
 	vecs     []*bat.Vector // emitted columns, sparse ones densified at open
 	owned    [][]float64   // densified buffers handed back at close
-	preds    []*compiled   // fused predicate, bound to global row indexes
-	idx      []int         // arena scratch for matching rows (nil when no preds)
+	preds    []*expr       // fused predicate conjuncts, bound to the whole source
+	idx      []int         // arena selection buffer (nil when no preds)
 	skip     []bool        // per-segment zone-map prune flags (persisted tables)
 	n, pos   int
 	tr       *exec.StageTracker
@@ -100,25 +100,16 @@ func newScanStream(c *exec.Ctx, n *streamNode, ps *exec.PipelineStats) (*scanStr
 		s.vecs = append(s.vecs, src.rel.Cols[k].Vector())
 	}
 	for _, p := range n.pred {
-		comp, err := compileExpr(p, src) // cannot fail: the planner dry-compiled it
+		ex, err := compileExpr(p, src) // cannot fail: the planner dry-compiled it
 		if err != nil {
 			return nil, err
 		}
-		s.preds = append(s.preds, comp)
+		s.preds = append(s.preds, ex)
 	}
 	if len(s.preds) > 0 {
 		s.idx = c.Arena().Ints(bat.MorselSize)
 	}
 	return s, nil
-}
-
-func (s *scanStream) match(i int) bool {
-	for _, p := range s.preds {
-		if !truthy(p.fn(i)) {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *scanStream) next(c *exec.Ctx) (*bat.Batch, error) {
@@ -143,14 +134,15 @@ func (s *scanStream) next(c *exec.Ctx) (*bat.Batch, error) {
 			s.tr.Batch(b.Len(), 0)
 			return b, nil
 		}
-		idx := s.idx[:0]
-		for i := lo; i < hi; i++ {
-			if s.match(i) {
-				idx = append(idx, i)
-			}
+		idx, err := keepAll(s.preds, lo, hi, s.idx)
+		if err != nil {
+			return nil, err
 		}
 		if len(idx) == 0 {
 			continue
+		}
+		for k := range idx {
+			idx[k] += lo
 		}
 		b := bat.NewBatch(len(idx))
 		for _, v := range s.vecs {
@@ -179,20 +171,30 @@ func (s *scanStream) close(c *exec.Ctx) {
 // --- filter ----------------------------------------------------------------
 
 // filterStream keeps the rows of each input morsel on which every
-// predicate is truthy. A morsel where all rows survive passes through
-// untouched (zero copy); otherwise the survivors are gathered into a
-// fresh arena-backed batch.
+// predicate is truthy, narrowing one selection vector conjunct by
+// conjunct. A morsel where all rows survive passes through untouched
+// (zero copy); otherwise the survivors are gathered into a fresh
+// arena-backed batch.
 type filterStream struct {
 	in    rowStream
-	node  *streamNode
-	preds []Expr
+	fr    *frame
+	preds []*expr
 	idx   []int
 	tr    *exec.StageTracker
 	prev  int64
 }
 
-func newFilterStream(c *exec.Ctx, in rowStream, n *streamNode, preds []Expr, ps *exec.PipelineStats) *filterStream {
-	return &filterStream{in: in, node: n, preds: preds, idx: c.Arena().Ints(bat.MorselSize), tr: ps.Stage("filter")}
+func newFilterStream(c *exec.Ctx, in rowStream, n *streamNode, preds []Expr, ps *exec.PipelineStats) (*filterStream, error) {
+	f := &filterStream{in: in, fr: n.morselFrame(), tr: ps.Stage("filter")}
+	for _, p := range preds {
+		ex, err := f.fr.compile(p)
+		if err != nil {
+			return nil, err
+		}
+		f.preds = append(f.preds, ex)
+	}
+	f.idx = c.Arena().Ints(bat.MorselSize)
+	return f, nil
 }
 
 func (f *filterStream) next(c *exec.Ctx) (*bat.Batch, error) {
@@ -203,23 +205,11 @@ func (f *filterStream) next(c *exec.Ctx) (*bat.Batch, error) {
 		if err != nil || mb == nil {
 			return nil, err
 		}
-		msrc := f.node.batchSource(mb)
-		comps := make([]*compiled, len(f.preds))
-		for k, p := range f.preds {
-			if comps[k], err = compileExpr(p, msrc); err != nil {
-				mb.Release(c)
-				return nil, err
-			}
-		}
-		idx := f.idx[:0]
-	rows:
-		for i := 0; i < mb.Len(); i++ {
-			for _, comp := range comps {
-				if !truthy(comp.fn(i)) {
-					continue rows
-				}
-			}
-			idx = append(idx, i)
+		f.fr.bindBatch(mb)
+		idx, err := keepAll(f.preds, 0, mb.Len(), f.idx)
+		if err != nil {
+			mb.Release(c)
+			return nil, err
 		}
 		switch {
 		case len(idx) == 0:
@@ -252,15 +242,6 @@ func (f *filterStream) close(c *exec.Ctx) {
 
 // --- equi-join -------------------------------------------------------------
 
-// probeIndex is the build-side contract joinStream probes against:
-// rel.JoinBuild (one hash table) and rel.PartitionedBuild (radix
-// exchange, one table per shard) produce bitwise-identical pair
-// sequences, so the choice is pure execution policy.
-type probeIndex interface {
-	Probe(c *exec.Ctx, probeKeys []*bat.BAT, leftOuter bool) (li, ri []int, anyUnmatched bool, err error)
-	Release(c *exec.Ctx)
-}
-
 // buildShards resolves the exchange fan-out for a build side of the
 // given row count at execution time — cached plans stay
 // execution-agnostic, so the same plan shards under one context and
@@ -275,15 +256,15 @@ func buildShards(c *exec.Ctx, rows int) int {
 }
 
 // joinStream probes each left morsel against a build side materialized
-// and indexed at open. Pushed-down build filters run before indexing,
-// and the hash table is pre-sized with the exact post-filter row count.
+// and indexed at open. Pushed-down build filters run before indexing.
 // Large build sides under a parallel budget are radix-partitioned into
-// shards (rel.PartitionedBuild) with one stats stage per shard.
+// shards (rel.NewPartitionedBuild) with one stats stage per shard. The
+// probe keys compile once against the left input's morsel frame.
 type joinStream struct {
 	in        rowStream
-	node      *streamNode
-	jb        probeIndex
-	shards    int
+	fr        *frame
+	lk        []*expr
+	jb        *rel.JoinBuild
 	buildVecs []*bat.Vector // needed build columns, sparse ones densified
 	buildOwn  [][]float64
 	filtered  []*rel.Relation // pushed-down-filter intermediates, freed at close
@@ -294,6 +275,15 @@ type joinStream struct {
 }
 
 func newJoinStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineStats) (*joinStream, error) {
+	fr := n.left.morselFrame()
+	lk := make([]*expr, len(n.lk))
+	for k, e := range n.lk {
+		ex, err := fr.compile(e)
+		if err != nil {
+			return nil, err
+		}
+		lk[k] = ex
+	}
 	right := n.right
 	var filtered []*rel.Relation
 	var err error
@@ -309,27 +299,19 @@ func newJoinStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineSt
 		freeFiltered(c, filtered)
 		return nil, err
 	}
-	var jb probeIndex
 	shards := buildShards(c, right.rel.NumRows())
+	jb, err := rel.NewPartitionedBuild(c, keys, shards)
+	if err != nil {
+		freeFiltered(c, filtered)
+		return nil, err
+	}
 	if shards > 1 {
-		pb, err := rel.NewPartitionedBuild(c, keys, shards, right.rel.NumRows())
-		if err != nil {
-			freeFiltered(c, filtered)
-			return nil, err
-		}
 		for pt := 0; pt < shards; pt++ {
-			rows := pb.ShardRows(pt)
+			rows := jb.ShardRows(pt)
 			ps.Stage(fmt.Sprintf("exchange.build[shard %d/%d]", pt, shards)).Batch(rows, int64(rows)*8)
 		}
-		jb = pb
-	} else {
-		jb, err = rel.NewJoinBuild(c, keys, right.rel.NumRows())
-		if err != nil {
-			freeFiltered(c, filtered)
-			return nil, err
-		}
 	}
-	j := &joinStream{in: in, node: n, jb: jb, shards: shards, filtered: filtered, leftOuter: n.kind == JoinLeft, tr: ps.Stage("join")}
+	j := &joinStream{in: in, fr: fr, lk: lk, jb: jb, filtered: filtered, leftOuter: n.kind == JoinLeft, tr: ps.Stage("join")}
 	for _, k := range n.needed {
 		col := right.rel.Cols[k]
 		v := col.VectorCtx(c)
@@ -351,20 +333,17 @@ func (j *joinStream) next(c *exec.Ctx) (*bat.Batch, error) {
 		if err != nil || mb == nil {
 			return nil, err
 		}
-		msrc := j.node.left.batchSource(mb)
-		keys := make([]*bat.BAT, len(j.node.lk))
-		for k, e := range j.node.lk {
-			comp, err := compileExpr(e, msrc)
+		j.fr.bindBatch(mb)
+		keys := make([]*bat.BAT, len(j.lk))
+		for k, ex := range j.lk {
+			v, err := ex.vals(0, mb.Len(), nil)
 			if err != nil {
 				mb.Release(c)
 				return nil, err
 			}
-			keys[k] = bat.FromVector(materializeVec(c, comp, mb.Len()))
+			keys[k] = bat.FromVector(vecOf(ex.typ, v))
 		}
 		li, ri, anyUnmatched, err := j.jb.Probe(c, keys, j.leftOuter)
-		for _, kb := range keys {
-			freeVec(c, kb.Vector())
-		}
 		if err != nil {
 			mb.Release(c)
 			return nil, err
@@ -518,31 +497,6 @@ func (x *crossStream) close(c *exec.Ctx) {
 
 // --- helpers ---------------------------------------------------------------
 
-// materializeVec evaluates a compiled expression over one morsel into an
-// arena-drawn vector of the expression's type.
-func materializeVec(c *exec.Ctx, comp *compiled, n int) *bat.Vector {
-	switch comp.typ {
-	case bat.Int:
-		out := c.Arena().Int64s(n)
-		for i := 0; i < n; i++ {
-			out[i] = comp.fn(i).I
-		}
-		return bat.NewIntVector(out)
-	case bat.String:
-		out := c.Arena().Strings(n)
-		for i := 0; i < n; i++ {
-			out[i] = comp.fn(i).S
-		}
-		return bat.NewStringVector(out)
-	default:
-		out := c.Arena().Floats(n)
-		for i := 0; i < n; i++ {
-			out[i] = comp.fn(i).F
-		}
-		return bat.NewFloatVector(out)
-	}
-}
-
 // freeFiltered hands back the build-side relations a pushed-down filter
 // materialized (rel.Select gathers every column into arena buffers).
 // The whole chain of intermediates is freed together at close: a later
@@ -569,23 +523,6 @@ func freeVec(c *exec.Ctx, v *bat.Vector) {
 	default:
 		c.Arena().FreeFloats(v.Floats())
 	}
-}
-
-// aggInput evaluates one aggregate argument over a morsel into an
-// arena-drawn float column, converting ints with the exact float64(int)
-// conversion the materializing path's FloatsCtx applies.
-func aggInput(c *exec.Ctx, comp *compiled, n int) []float64 {
-	out := c.Arena().Floats(n)
-	if comp.typ == bat.Int {
-		for i := 0; i < n; i++ {
-			out[i] = float64(comp.fn(i).I)
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		out[i] = comp.fn(i).F
-	}
-	return out
 }
 
 // gatherVecPadded gathers v at idx into an arena buffer; pad marks that
@@ -656,7 +593,12 @@ func (db *DB) openStream(c *exec.Ctx, n *streamNode, ps *exec.PipelineStats) (ro
 		return nil, err
 	}
 	if filters := append(append([]Expr(nil), n.residual...), n.post...); len(filters) > 0 {
-		out = newFilterStream(c, out, n, filters, ps)
+		f, err := newFilterStream(c, out, n, filters, ps)
+		if err != nil {
+			out.close(c)
+			return nil, err
+		}
+		out = f
 	}
 	return out, nil
 }
@@ -692,10 +634,10 @@ func (db *DB) execPlanned(c *exec.Ctx, sel *SelectStmt, plan *selectPlan) (*rel.
 }
 
 // runStreamProject drains the stream through the per-morsel projection:
-// every select item is compiled against each morsel and appended to
-// plain output columns (the same storage the materializing projection
-// builds), so the output relation is identical in values, names, and
-// backing layout. Without DISTINCT or ORDER BY, a LIMIT stops the pull
+// every select item is compiled once against the root's morsel frame,
+// evaluated per morsel, and appended to plain output columns (the same
+// storage the materializing projection builds), so the output relation
+// is identical in values, names, and backing layout. Without DISTINCT or ORDER BY, a LIMIT stops the pull
 // as soon as enough rows have been produced.
 func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStream, ps *exec.PipelineStats) (*rel.Relation, error) {
 	nItems := len(plan.items)
@@ -703,6 +645,15 @@ func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStre
 	outI := make([][]int64, nItems)
 	outS := make([][]string, nItems)
 	tr := ps.Stage("project")
+	fr := plan.root.morselFrame()
+	items := make([]*expr, nItems)
+	for k, it := range plan.items {
+		ex, err := fr.compile(it.Expr)
+		if err != nil {
+			return nil, err
+		}
+		items[k] = ex
+	}
 	rows := 0
 	earlyStop := sel.Limit >= 0 && !sel.Distinct && len(sel.OrderBy) == 0
 	for !(earlyStop && rows >= sel.Limit) {
@@ -713,34 +664,17 @@ func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStre
 		if mb == nil {
 			break
 		}
-		msrc := plan.root.batchSource(mb)
+		fr.bindBatch(mb)
 		mn := mb.Len()
-		for k, it := range plan.items {
-			comp, err := compileExpr(it.Expr, msrc)
+		for k, ex := range items {
+			v, err := ex.vals(0, mn, nil)
 			if err != nil {
 				mb.Release(c)
 				return nil, err
 			}
-			switch plan.outSchema[k].Type {
-			case bat.Int:
-				buf := outI[k]
-				for i := 0; i < mn; i++ {
-					buf = append(buf, comp.fn(i).I)
-				}
-				outI[k] = buf
-			case bat.String:
-				buf := outS[k]
-				for i := 0; i < mn; i++ {
-					buf = append(buf, comp.fn(i).S)
-				}
-				outS[k] = buf
-			default:
-				buf := outF[k]
-				for i := 0; i < mn; i++ {
-					buf = append(buf, comp.fn(i).F)
-				}
-				outF[k] = buf
-			}
+			outF[k] = append(outF[k], v.f...)
+			outI[k] = append(outI[k], v.i...)
+			outS[k] = append(outS[k], v.s...)
 		}
 		rows += mn
 		tr.Batch(mn, 0)
@@ -764,43 +698,43 @@ func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStre
 	return finishOutput(c, sel, out, plan.outSyms, nil)
 }
 
-// groupAccumulator is the streaming grouping contract shared by
-// rel.StreamAgg (one accumulator) and rel.ShardedAgg (hash-sharded
-// accumulators); both finish into bitwise-identical grouped relations.
-type groupAccumulator interface {
-	Consume(keys []*bat.Vector, aggIn [][]float64, n int) error
-	Finish() (*rel.Relation, error)
-}
-
 // runStreamGrouped drains the stream into the streaming aggregation
-// accumulator, then rejoins the materializing tail: rewrite aggregate
-// and key expressions into grouped-column references, apply HAVING, and
-// run the shared projection/ORDER BY/LIMIT code over the grouped
-// relation — which is bitwise-identical to the one groupSource builds.
-//
-// When the plan marked the grouping co-partitioned (the keys are the
-// root join's partitioning keys) and the context runs parallel, the
-// stage shards its accumulators on the same key hashes the exchange
-// build used — the rows are already partitioned on those keys, so this
-// is parallel grouping with no re-shuffle. Otherwise a single
-// accumulator (which can spill) folds the stream.
+// accumulator (rel.StreamAgg, which can spill), then rejoins the
+// materializing tail: rewrite aggregate and key expressions into
+// grouped-column references, apply HAVING, and run the shared
+// projection/ORDER BY/LIMIT code over the grouped relation — which is
+// bitwise-identical to the one groupSource builds. Key and aggregate
+// expressions compile once against the root's morsel frame; column
+// references reach the accumulator as zero-copy views.
 func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStream, ps *exec.PipelineStats) (*rel.Relation, error) {
 	gp := plan.group
-	var sa groupAccumulator
-	var sharded *rel.ShardedAgg
-	var err error
-	if w := c.Workers(); gp.coPart && w > 1 {
-		sharded, err = rel.NewShardedAgg("", gp.keyNames, gp.keyTypes, gp.specs, min(w, 16), 0)
-		sa = sharded
-	} else {
-		sa, err = rel.NewStreamAggCtx(c, "", gp.keyNames, gp.keyTypes, gp.specs, 0)
-	}
+	sa, err := rel.NewStreamAggCtx(c, "", gp.keyNames, gp.keyTypes, gp.specs, 0)
 	if err != nil {
 		return nil, err
 	}
+	fr := plan.root.morselFrame()
+	keys := make([]*expr, len(sel.GroupBy))
+	for k, g := range sel.GroupBy {
+		if keys[k], err = fr.compile(g); err != nil {
+			return nil, err
+		}
+	}
+	// Aggregate inputs fold as float64, ints through the exact
+	// float64(int) conversion the materializing path's FloatsCtx applies.
+	args := make([]*expr, len(gp.argExprs))
+	for k, e := range gp.argExprs {
+		if e == nil {
+			continue
+		}
+		ex, err := fr.compile(e)
+		if err != nil {
+			return nil, err
+		}
+		args[k] = toFloat(ex)
+	}
 	tr := ps.Stage("group")
-	keyVecs := make([]*bat.Vector, len(gp.keyNames))
-	aggIn := make([][]float64, len(gp.specs))
+	keyVecs := make([]*bat.Vector, len(keys))
+	aggIn := make([][]float64, len(args))
 	for {
 		mb, err := st.next(c)
 		if err != nil {
@@ -809,41 +743,30 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 		if mb == nil {
 			break
 		}
-		msrc := plan.root.batchSource(mb)
+		fr.bindBatch(mb)
 		mn := mb.Len()
-		for k, g := range sel.GroupBy {
-			comp, err := compileExpr(g, msrc)
+		for k, ex := range keys {
+			v, err := ex.vals(0, mn, nil)
 			if err != nil {
 				mb.Release(c)
 				return nil, err
 			}
-			keyVecs[k] = materializeVec(c, comp, mn)
+			keyVecs[k] = vecOf(ex.typ, v)
 		}
-		for k, e := range gp.argExprs {
-			if e == nil {
-				aggIn[k] = nil
+		for k, ex := range args {
+			if ex == nil {
 				continue
 			}
-			comp, err := compileExpr(e, msrc)
+			v, err := ex.vals(0, mn, nil)
 			if err != nil {
 				mb.Release(c)
 				return nil, err
 			}
-			aggIn[k] = aggInput(c, comp, mn)
+			aggIn[k] = v.f
 		}
 		if err := sa.Consume(keyVecs, aggIn, mn); err != nil {
 			mb.Release(c)
 			return nil, err
-		}
-		for k, v := range keyVecs {
-			freeVec(c, v)
-			keyVecs[k] = nil
-		}
-		for k, f := range aggIn {
-			if f != nil {
-				c.Arena().FreeFloats(f)
-				aggIn[k] = nil
-			}
 		}
 		tr.Batch(mn, 0)
 		mb.Release(c)
@@ -851,11 +774,6 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 	grouped, err := sa.Finish()
 	if err != nil {
 		return nil, err
-	}
-	if sharded != nil {
-		for pt := 0; pt < sharded.Shards(); pt++ {
-			ps.Stage(fmt.Sprintf("exchange.group[shard %d/%d]", pt, sharded.Shards())).Batch(sharded.ShardGroups(pt), 0)
-		}
 	}
 	// Global aggregation over an empty input yields one row of zeros
 	// (COUNT(*) = 0), matching SQL semantics and groupSource.
