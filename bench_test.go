@@ -15,6 +15,7 @@ import (
 	"repro/internal/competitor/rsim"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/exec"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
 	"repro/internal/rel"
@@ -448,7 +449,7 @@ func BenchmarkAblationParallelKernels(b *testing.B) {
 		if workers == 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		prev := bat.SetParallelism(workers)
+		prev := exec.SetDefaultWorkers(workers)
 		b.Run("add-"+bud.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -461,7 +462,7 @@ func BenchmarkAblationParallelKernels(b *testing.B) {
 				bat.Dot(nil, x, y)
 			}
 		})
-		bat.SetParallelism(prev)
+		exec.SetDefaultWorkers(prev)
 	}
 	b.Run("add-no-release", func(b *testing.B) {
 		b.ReportAllocs()

@@ -24,9 +24,8 @@
 // knob, concurrent queries with different core.Options.Parallelism
 // settings are race-free by construction: each query's operators resolve
 // workers against the query's own Ctx, and core.Stats.Workers reports
-// that budget per invocation. The former global knobs
-// (bat.SetParallelism, linalg.SetParallelism) survive only as deprecated
-// shims that seed the fallback budget nil contexts resolve against. A
+// that budget per invocation. The only process-wide knob is the
+// fallback budget nil contexts resolve against (exec.SetDefaultWorkers). A
 // dedicated CI step runs the mixed-budget concurrency stress tests under
 // -race with GOMAXPROCS=4.
 //
@@ -148,19 +147,25 @@
 //
 // # Streaming execution
 //
-// SELECT statements run on a morsel-driven streaming pipeline by
-// default (sql.DB.SetStreaming toggles it). A small logical planner
-// (internal/sql/plan.go) decomposes the statement's FROM tree, pushes
-// WHERE conjuncts down to the deepest input that binds their columns
-// (scan predicates fuse into the scan's morsel loop; probe-side
-// predicates filter join inputs before the build), prunes unreferenced
-// columns, and dry-compiles every expression against zero-row prototype
-// sources at plan time — so a statement that plans successfully cannot
-// fail to compile mid-stream. Any planning error falls back to the
-// materializing executor, which reproduces the exact user-visible
-// error; the two paths share the projection/ORDER BY/DISTINCT/LIMIT
-// tail, so results and error messages are identical by construction
-// (asserted bitwise by the differential tests in stream_test.go).
+// SELECT has one executor: a morsel-driven streaming pipeline, with no
+// alternative path and no switch. A small logical planner
+// (internal/sql/plan.go) decomposes the statement's FROM tree (the
+// parser builds joins left-deep, so every join streams its left input
+// and indexes its right one), pushes WHERE conjuncts down to the
+// deepest input that binds their columns (scan predicates fuse into
+// the scan's morsel loop; probe-side predicates filter join inputs
+// before the build), prunes unreferenced columns, and dry-compiles
+// every expression against zero-row prototype frames at plan time — so
+// a statement that plans cannot fail to compile mid-stream, and a
+// planning error (unknown column, type error, LEFT JOIN without an
+// equi-join key) is the statement's error. ORDER BY keys resolve
+// against the projected output first; without DISTINCT or grouping, a
+// key that only resolves against the input columns (SELECT tag FROM t
+// ORDER BY val) is projected as a hidden trailing column, sorted on,
+// and dropped from the result. The differential oracle
+// (internal/sql/oracle_test.go) checks the pipeline against a naive
+// reference evaluator — nested-loop joins, sort-based grouping — and
+// against itself across worker, plan-cache and spill settings.
 //
 // Operators are composed as pull iterators over bat.Batch morsels of
 // bat.MorselSize (4096) rows: next returns the next batch or nil at
@@ -178,7 +183,7 @@
 // boundaries. Both therefore keep the determinism contract: probe
 // output stays in probe-row order with matches in build order, chunked
 // float sums combine in fixed chunk order, and results are
-// bitwise-identical to the materializing path at any worker budget.
+// bitwise-identical at any worker budget.
 // exec.PipelineStats records per-stage batch/row counts and peak held
 // bytes, surfaced through sql.DB.PipelineStats and rmacli \stats.
 //
@@ -187,8 +192,7 @@
 // two passes over an ascending row list — count each hash into its
 // slot, prefix-sum, scatter the row ids — so a lookup returns a
 // sub-slice of one row array, in build order, without allocating;
-// every build (single table, radix shards, exchange shards, spill
-// partitions) uses it. The grouping operators (rel.GroupBy, StreamAgg,
+// every build (single table or radix shards) uses it. The grouping operators (rel.GroupBy, StreamAgg,
 // Distinct) map hashes to dense first-seen group ids in a slot array;
 // StreamAgg keeps its per-chunk partial states in a dense per-group
 // slot array instead of a map. Key hashes are computed a morsel at a
@@ -208,8 +212,8 @@
 // where the row is still undecided, so every row sees exactly the
 // evaluations row-at-a-time short-circuiting would give it. The same
 // compiled tree serves the scan (bound to the whole table, global
-// rows), filters, join and group keys, aggregate inputs, projections,
-// the materializing executor and INSERT values.
+// rows), filters, join and group keys, aggregate inputs, projections
+// and INSERT values.
 //
 // Comparisons follow the engine's one total order, the order ORDER BY,
 // GROUP BY and join keys use: strings compare bytewise, Int with Int
@@ -256,24 +260,22 @@
 // Spill is the third rung of the statement retry ladder. Each statement
 // runs normal → serial (on budget errors, when it ran parallel) →
 // serial with forced spill (when the DB has a spill directory,
-// sql.DB.SetSpill). Above that, spill engages proactively: every
-// estimate-gated consumer asks exec.Ctx.ShouldSpill(estimate) before
-// allocating its dominant transient, where the threshold is the
-// configured byte count, or half the tenant's budget when configured as
-// zero (unbudgeted tenants never auto-spill). The consumers are the
-// three the roadmap named: hash-join pair staging (16-way partitioned
-// pair files merged back in canonical probe order — both
-// rel.HashJoin and the SQL layer's rel.EquiJoinPairsSpilled
-// route), grouped aggregation (rel.StreamAgg and rel.GroupBy freeze
-// partial tables to disk and merge), and sort (per-run files k-way
-// merged; a serial sort is one run and never stages). Every spilled
+// sql.DB.SetSpill), all on the one streaming executor. Above that,
+// spill engages proactively: every estimate-gated consumer asks
+// exec.Ctx.ShouldSpill(estimate) before allocating its dominant
+// transient, where the threshold is the configured byte count, or half
+// the tenant's budget when configured as zero (unbudgeted tenants never
+// auto-spill). The consumers are grouped aggregation (rel.StreamAgg
+// freezes its resident table and stages rows of later keys to
+// hash-partitioned files, replayed one partition at a time) and sort
+// (bat.Order: per-run files k-way merged; a serial sort is one run and
+// never stages). The join build side stays in memory. Every spilled
 // path reproduces its in-memory result bit for bit at any worker
-// count — asserted by a self-calibrating differential test that
-// measures the in-memory and fully-spilled serial peaks and runs the
-// statement under the midpoint budget, plus spill-forced legs of the
-// fuzz oracle (RMA_ORACLE_SPILL) and a -race CI stress step.
-// exec.SpillStats (bytes, partitions, events) aggregates into
-// sql.DB.Metrics alongside the arena counters.
+// count — asserted by differential tests that spill every consumer of
+// fan-out join-group statements at workers 1, 2 and 8, plus a
+// spill-forced leg of the fuzz oracle (RMA_ORACLE_SPILL) and a -race CI
+// stress step. exec.SpillStats (bytes, partitions, events) aggregates
+// into sql.DB.Metrics alongside the arena counters.
 //
 // # Block-partitioned execution
 //
@@ -300,19 +302,18 @@
 // tests over tile edges yielding 1/2/7/16-tile grids, non-divisible
 // edge sizes, and worker budgets {1, 2, 8} under -race.
 //
-// The relational analogue is rel.Exchange: morsel streams are
-// radix-partitioned into P shards on the same typed 64-bit key hashes
-// the join table uses, each shard builds and probes (or groups)
-// independently, and shard outputs concatenate in fixed shard order —
-// so the exchange plan is bitwise-identical to the single-table path
-// (rel.ExchangeJoin vs rel.HashJoin). The streaming SQL planner picks
-// the partitioned build (rel.NewPartitionedBuild) when the statement
-// runs with a multi-worker budget and the build side exceeds
-// bat.SerialCutoff rows; shard count is resolved at execution time
-// (min(workers, 16)) so cached plans stay execution-agnostic. Grouping
-// always folds into the single spill-capable rel.StreamAgg. Per-shard
-// rows surface in exec.PipelineStats as exchange.build[shard i/P] and
-// exchange.join[shard i/P] stages.
+// The relational analogue is the partitioned join build
+// (rel.NewPartitionedBuild): the build side is radix-partitioned into P
+// shards on the same typed 64-bit key hashes the join table uses, each
+// shard indexes its rows independently, and every shard's row list
+// stays ascending, so a probe returns the same matches in the same
+// order as the single table. The streaming SQL planner picks it when
+// the statement runs with a multi-worker budget and the build side
+// exceeds bat.SerialCutoff rows; shard count is resolved at execution
+// time (min(workers, 16)) so cached plans stay execution-agnostic.
+// Grouping always folds into the single spill-capable rel.StreamAgg.
+// Per-shard rows surface in exec.PipelineStats as
+// exchange.build[shard i/P] stages.
 //
 // # Static analysis
 //
@@ -358,13 +359,13 @@
 // from any number of concurrent statements — asserted under -race, and
 // cross-checked against the uncached paths by the differential fuzz
 // oracle (oracle_test.go), which runs randomly generated SELECTs
-// streamed, materialized, and cached at worker budgets {1,2,8} and
-// requires bitwise-identical relations and identical error strings.
+// uncached and cached at worker budgets {1,2,8} and requires
+// bitwise-identical relations and identical error strings.
 // Only single-statement SELECTs over plain table FROM trees are
 // cacheable (derived tables and RMA table functions execute at plan
 // time, so caching them would freeze data, not shape). The cache
-// invalidates wholesale on CREATE/INSERT/DROP/Register, on the
-// streaming toggle, and on option changes; DB.Metrics carries
+// invalidates wholesale on CREATE/INSERT/DROP/Register and on option
+// changes; DB.Metrics carries
 // hit/miss/invalidation counters. Per-statement execution options
 // (tenant, budget, workers) ride DB.ExecWith/QueryWith rather than
 // DB-global state, so a multi-tenant server never serializes on
@@ -398,8 +399,8 @@
 // counters. The SQL
 // layer builds one context per statement, so concurrent statements with
 // different budgets never share a knob; its expression-keyed equi-joins
-// materialize typed key columns and route through rel.EquiJoinPairs (no
-// per-row string keys). cmd/benchdiff diffs consecutive BENCH_<n>.json
+// materialize typed build keys once and probe rel.JoinBuild a morsel at
+// a time (no per-row string keys). cmd/benchdiff diffs consecutive BENCH_<n>.json
 // kernel reports and fails CI on >20% ns/op regressions; rmabench
 // reports each kernel's fastest of three benchmark rounds so host
 // scheduling noise does not masquerade as a regression.

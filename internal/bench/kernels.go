@@ -292,17 +292,6 @@ func MicroKernels(quick bool) ([]KernelResult, error) {
 		}
 	}))
 
-	// The same join through the radix-partitioned exchange: four shards
-	// built, probed, and concatenated in fixed shard order.
-	out = append(out, measure("rel.Exchange(join-4shard)", joinRows, 2, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rel.ExchangeJoin(nil, jl, js, []string{"l_k"}, []string{"s_k"}, rel.Inner, 4, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
 	gr := intKeyRel("g", joinRows, 256, 13)
 	aggs := []rel.AggSpec{
 		{Func: rel.Count, As: "n"},
@@ -336,37 +325,29 @@ func MicroKernels(quick bool) ([]KernelResult, error) {
 		}
 	}))
 
-	// End-to-end statement pipeline: the same filter → join → group-by
-	// SELECT once streamed morsel-at-a-time and once through the
-	// materializing path. Each variant also records the peak accounted
+	// End-to-end statement pipeline: a filter → join → group-by SELECT
+	// streamed morsel-at-a-time. The row also records the peak accounted
 	// arena bytes of a single run (measured under a dedicated tenant,
-	// outside the timed loop) — the number the streaming pipeline exists
-	// to shrink.
+	// outside the timed loop).
 	sdb, q := streamBenchDB(joinRows)
-	for _, streaming := range []struct {
-		on bool
-		op string
-	}{{true, "sql.Select(filter-join-group, streamed)"}, {false, "sql.Select(filter-join-group, materialized)"}} {
-		sdb.SetStreaming(streaming.on)
-		gov := exec.NewGovernor(1<<33, 4)
-		sdb.SetGovernor(gov)
-		sdb.SetRMAOptions(&core.Options{Tenant: "bench-pipe", MemoryBudget: 1 << 31})
-		if _, err := sdb.Query(q); err != nil {
-			return nil, fmt.Errorf("bench: pipeline setup (streaming=%v): %w", streaming.on, err)
-		}
-		peak := gov.Tenant("bench-pipe", 1<<31).PeakBytes()
-		sdb.SetRMAOptions(nil) // time the pipeline itself, not the accounting
-		kr := measure(streaming.op, joinRows, 3, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sdb.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		kr.PeakBytes = peak
-		out = append(out, kr)
+	gov := exec.NewGovernor(1<<33, 4)
+	sdb.SetGovernor(gov)
+	sdb.SetRMAOptions(&core.Options{Tenant: "bench-pipe", MemoryBudget: 1 << 31})
+	if _, err := sdb.Query(q); err != nil {
+		return nil, fmt.Errorf("bench: pipeline setup: %w", err)
 	}
+	peak := gov.Tenant("bench-pipe", 1<<31).PeakBytes()
+	sdb.SetRMAOptions(nil) // time the pipeline itself, not the accounting
+	kr := measure("sql.Select(filter-join-group, streamed)", joinRows, 3, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sdb.Query(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	kr.PeakBytes = peak
+	out = append(out, kr)
 
 	// Out-of-core variant of the same pipeline: a one-byte spill
 	// threshold sends every estimate-gated operator to its disk path, so
@@ -378,7 +359,6 @@ func MicroKernels(quick bool) ([]KernelResult, error) {
 		return nil, fmt.Errorf("bench: spill dir: %w", err)
 	}
 	defer os.RemoveAll(spillDir)
-	sdb.SetStreaming(true)
 	sdb.SetSpill(spillDir, 1)
 	sgov := exec.NewGovernor(1<<33, 4)
 	sdb.SetGovernor(sgov)
@@ -391,7 +371,7 @@ func MicroKernels(quick bool) ([]KernelResult, error) {
 	}
 	spillPeak := sgov.Tenant("bench-spill", 1<<31).PeakBytes()
 	sdb.SetRMAOptions(nil)
-	kr := measure("sql.Select(filter-join-group, spilled)", joinRows, 3, func(b *testing.B) {
+	kr = measure("sql.Select(filter-join-group, spilled)", joinRows, 3, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := sdb.Query(q); err != nil {

@@ -58,10 +58,6 @@ func (s *Spill) Forced() *Spill {
 	return &Spill{base: s.base, threshold: s.threshold, force: true}
 }
 
-// IsForced reports whether the manager spills on every eligible
-// estimate — the reactive retry configuration. Nil-safe.
-func (s *Spill) IsForced() bool { return s != nil && s.force }
-
 // Dir returns the statement's scratch directory, creating it on first
 // use.
 func (s *Spill) Dir() (string, error) {

@@ -189,13 +189,6 @@ func GroupBySized(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec, group
 		inCols[k], srcCols[k] = f, col
 	}
 
-	// Out-of-core path: fold through a spilling stream accumulator, which
-	// stages the tail of the key space to disk instead of growing the
-	// group tables. Same result, bit for bit.
-	if len(keys) > 0 && c.ShouldSpill(groupSpillEst(r.NumRows(), len(keys), len(aggs))) {
-		return groupBySpilled(c, r, keys, aggs, groupHint, inCols)
-	}
-
 	var kc *keyCols
 	var hash []uint64
 	if len(keys) > 0 {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/bat"
-	"repro/internal/exec"
 	"repro/internal/store"
 )
 
@@ -314,36 +313,4 @@ func (a *StreamAgg) replaySpilled() error {
 	}
 	a.spill = nil
 	return nil
-}
-
-// groupSpillEst is the rough per-input-row footprint the materializing
-// GroupBy would take for its chunk partials and merged table, assuming
-// the pessimistic half-distinct default.
-func groupSpillEst(n, keys, aggs int) int64 {
-	return int64(n) * int64(16+8*keys+16*aggs) / 2
-}
-
-// groupBySpilled routes a materialized GroupBy through a spilling
-// StreamAgg: one serial pass over the input (the accumulator's chunking
-// reproduces the parallel fold bitwise), with the tail of the key space
-// staged to disk.
-func groupBySpilled(c *exec.Ctx, r *Relation, keys []string, aggs []AggSpec, hint int, inCols [][]float64) (*Relation, error) {
-	kt := make([]bat.Type, len(keys))
-	kvecs := make([]*bat.Vector, len(keys))
-	for k, name := range keys {
-		col, err := r.Col(name)
-		if err != nil {
-			return nil, err
-		}
-		kvecs[k] = col.VectorCtx(c)
-		kt[k] = kvecs[k].Type()
-	}
-	sa, err := NewStreamAggCtx(c, r.Name, keys, kt, aggs, hint)
-	if err != nil {
-		return nil, err
-	}
-	if err := sa.Consume(kvecs, inCols, r.NumRows()); err != nil {
-		return nil, err
-	}
-	return sa.Finish()
 }

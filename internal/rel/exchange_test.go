@@ -1,7 +1,6 @@
 package rel
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/bat"
@@ -9,105 +8,6 @@ import (
 )
 
 var exchangeShardGrid = []int{1, 2, 7, 16}
-
-// TestExchangeJoinBitwiseHashJoin: the radix-exchange join must be
-// bitwise-identical to HashJoin — same rows, same canonical order
-// — at worker budgets {1,2,8} and shard counts {1,2,7,16}, inner and
-// left outer, on sizes spanning multiple SerialCutoff chunks.
-func TestExchangeJoinBitwiseHashJoin(t *testing.T) {
-	for _, n := range []int{7, bat.SerialCutoff + 1, 2*bat.SerialCutoff + 3} {
-		r := boundaryRel("r", n, int64(n/3+2))
-		s := boundaryRel("s", n/2+1, int64(n/3+2))
-		for _, jt := range []JoinType{Inner, Left} {
-			var want *Relation
-			withWorkers(1, func() {
-				j, err := HashJoin(nil, r, s, []string{"r_k"}, []string{"s_k"}, jt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = j
-			})
-			for _, w := range []int{1, 2, 8} {
-				for _, shards := range exchangeShardGrid {
-					withWorkers(w, func() {
-						got, err := ExchangeJoin(nil, r, s, []string{"r_k"}, []string{"s_k"}, jt, shards, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !equalRelations(got, want) {
-							t.Fatalf("ExchangeJoin n=%d jt=%d workers=%d shards=%d differs from HashJoin", n, jt, w, shards)
-						}
-					})
-				}
-			}
-		}
-	}
-}
-
-// TestExchangeJoinShardStats: with a stats sink, the exchange join
-// reports one stage per shard whose pair counts sum to the result size.
-func TestExchangeJoinShardStats(t *testing.T) {
-	n := bat.SerialCutoff + 17
-	r := boundaryRel("r", n, 64)
-	s := boundaryRel("s", n/2, 64)
-	ps := exec.NewPipelineStats()
-	got, err := ExchangeJoin(exec.New(4), r, s, []string{"r_k"}, []string{"s_k"}, Inner, 7, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := ps.Snapshot()
-	shardStages, totalPairs := 0, 0
-	for _, st := range snap {
-		if strings.HasPrefix(st.Name, "exchange.join[shard ") {
-			shardStages++
-			totalPairs += int(st.Rows)
-		}
-	}
-	if shardStages != 7 {
-		t.Fatalf("%d shard stages, want 7 (snapshot: %+v)", shardStages, snap)
-	}
-	if totalPairs != got.NumRows() {
-		t.Fatalf("shard stages report %d pairs, result has %d rows", totalPairs, got.NumRows())
-	}
-}
-
-// TestExchangeGroupByBitwiseGroupBy: the radix-exchange aggregation
-// must be bitwise-identical to GroupBySized — group order, counts,
-// float sums — at worker budgets {1,2,8} and shard counts {1,2,7,16},
-// including sizes that span multiple SerialCutoff chunks.
-func TestExchangeGroupByBitwiseGroupBy(t *testing.T) {
-	aggs := []AggSpec{
-		{Func: Count, As: "n"},
-		{Func: Sum, Attr: "r_v", As: "s"},
-		{Func: Avg, Attr: "r_v", As: "a"},
-		{Func: Min, Attr: "r_v", As: "lo"},
-		{Func: Max, Attr: "r_v", As: "hi"},
-	}
-	for _, n := range []int{1, 7, bat.SerialCutoff + 1, 2*bat.SerialCutoff + 3} {
-		r := boundaryRel("r", n, 64)
-		var want *Relation
-		withWorkers(1, func() {
-			g, err := GroupBySized(nil, r, []string{"r_k", "r_t"}, aggs, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = g
-		})
-		for _, w := range []int{1, 2, 8} {
-			for _, shards := range exchangeShardGrid {
-				withWorkers(w, func() {
-					got, err := ExchangeGroupBy(nil, r, []string{"r_k", "r_t"}, aggs, shards, 0, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !equalRelations(got, want) {
-						t.Fatalf("ExchangeGroupBy n=%d workers=%d shards=%d differs from GroupBySized", n, w, shards)
-					}
-				})
-			}
-		}
-	}
-}
 
 // TestExchangePartitionedBuildMatchesJoinBuild probes a sharded build
 // and a single-table build with the same morsel stream and asserts the

@@ -7,14 +7,36 @@ import (
 	"testing/quick"
 
 	"repro/internal/bat"
+	"repro/internal/exec"
 )
 
 // withWorkers runs f under the given worker budget and restores the
 // previous budget afterwards.
 func withWorkers(w int, f func()) {
-	prev := bat.SetParallelism(w)
-	defer bat.SetParallelism(prev)
+	prev := exec.SetDefaultWorkers(w)
+	defer exec.SetDefaultWorkers(prev)
 	f()
+}
+
+// naivePairs is the nested-loop join order every join reproduces: probe
+// rows ascending, matches per probe row in build order, and (i, -1) for
+// an unmatched probe row when leftOuter is set.
+func naivePairs(pn, bn int, eq func(i, j int) bool, leftOuter bool) (li, ri []int) {
+	for i := 0; i < pn; i++ {
+		found := false
+		for j := 0; j < bn; j++ {
+			if eq(i, j) {
+				li = append(li, i)
+				ri = append(ri, j)
+				found = true
+			}
+		}
+		if !found && leftOuter {
+			li = append(li, i)
+			ri = append(ri, -1)
+		}
+	}
+	return li, ri
 }
 
 // naiveJoin is the nested-loop reference implementation HashJoin is tested
@@ -46,21 +68,7 @@ func naiveJoin(t *testing.T, r, s *Relation, rKeys, sKeys []string, jt JoinType)
 		}
 		return true
 	}
-	var li, ri []int
-	for i := 0; i < r.NumRows(); i++ {
-		found := false
-		for j := 0; j < s.NumRows(); j++ {
-			if eq(i, j) {
-				li = append(li, i)
-				ri = append(ri, j)
-				found = true
-			}
-		}
-		if !found && jt == Left {
-			li = append(li, i)
-			ri = append(ri, -1)
-		}
-	}
+	li, ri := naivePairs(r.NumRows(), s.NumRows(), eq, jt == Left)
 	dropped := make(map[string]bool, len(sKeys))
 	for _, a := range sKeys {
 		dropped[a] = true

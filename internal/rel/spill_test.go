@@ -82,57 +82,6 @@ func joinRels(n, m int) (*Relation, *Relation) {
 	return r, s
 }
 
-func TestHashJoinSpillBitwise(t *testing.T) {
-	r, s := joinRels(3*bat.SerialCutoff+17, bat.SerialCutoff)
-	for _, jt := range []JoinType{Inner, Left} {
-		base, err := HashJoin(exec.New(4), r, s, []string{"ka"}, []string{"kb"}, jt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			c, sp := spillCtx(t, workers)
-			got, err := HashJoin(c, r, s, []string{"ka"}, []string{"kb"}, jt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("join jt=%d workers=%d", jt, workers)
-			bitwiseSame(t, label, base, got)
-			if st := sp.Stats(); st.SpilledBytes == 0 || st.Partitions == 0 {
-				t.Fatalf("%s: join did not spill: %+v", label, st)
-			}
-		}
-	}
-}
-
-func TestGroupBySpillBitwise(t *testing.T) {
-	aggs := []AggSpec{
-		{Func: Count, As: "n"},
-		{Func: Sum, Attr: "a", As: "sa"},
-		{Func: Avg, Attr: "b", As: "ab"},
-		{Func: Min, Attr: "a", As: "ma"},
-		{Func: Max, Attr: "b", As: "xb"},
-	}
-	// Three-plus chunks so the replay must reproduce chunk-partial
-	// combines; cardinality high enough for many spilled keys.
-	r := aggRel(3*bat.SerialCutoff+257, 4096)
-	base, err := GroupBy(exec.New(4), r, []string{"k", "tag"}, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		c, sp := spillCtx(t, workers)
-		got, err := GroupBy(c, r, []string{"k", "tag"}, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("groupby workers=%d", workers)
-		bitwiseSame(t, label, base, got)
-		if st := sp.Stats(); st.SpilledBytes == 0 {
-			t.Fatalf("%s: group by did not spill: %+v", label, st)
-		}
-	}
-}
-
 // TestStreamAggSpillMatchesGroupBy drives the spilling accumulator one
 // unaligned morsel at a time — the streaming grouped path — against the
 // materializing GroupBy.

@@ -20,7 +20,7 @@ import (
 // JoinBuild is the build side of a streaming equi-join: constructed
 // once from the materialized build keys, then probed once per morsel.
 // Probe emits pairs in probe order with matches in build order — the
-// same canonical order as EquiJoinPairs — so concatenating the
+// same canonical order as HashJoin — so concatenating the
 // per-morsel pair lists reproduces the all-at-once join exactly, at any
 // shard count.
 type JoinBuild struct {

@@ -129,8 +129,8 @@ func TestStreamingAggGlobalGroup(t *testing.T) {
 
 // TestStreamingJoinProbeMatchesEquiJoinPairs probes a JoinBuild one
 // morsel at a time and asserts the concatenated pair lists equal the
-// all-at-once EquiJoinPairs output, inner and left outer, at several
-// worker budgets.
+// nested-loop reference pairs (naivePairs), inner and left outer, at
+// several worker budgets.
 func TestStreamingJoinProbeMatchesEquiJoinPairs(t *testing.T) {
 	pn, bn := 3*bat.SerialCutoff+41, 2000
 	probe := make([]int64, pn)
@@ -141,17 +141,12 @@ func TestStreamingJoinProbeMatchesEquiJoinPairs(t *testing.T) {
 	for j := range build {
 		build[j] = int64((j*104729 + 1) % 1500)
 	}
-	probeKeys := []*bat.BAT{bat.FromInts(probe)}
 	buildKeys := []*bat.BAT{bat.FromInts(build)}
 
 	for _, leftOuter := range []bool{false, true} {
+		wantLi, wantRi := naivePairs(pn, bn, func(i, j int) bool { return probe[i] == build[j] }, leftOuter)
 		for _, workers := range []int{1, 2, 8} {
 			c := exec.NewCtx(workers, nil, nil)
-			wantLi, wantRi, err := EquiJoinPairs(c, probeKeys, buildKeys, leftOuter)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			jb, err := NewJoinBuild(c, buildKeys)
 			if err != nil {
 				t.Fatal(err)

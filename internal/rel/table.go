@@ -146,6 +146,56 @@ func buildPartIndex(c *exec.Ctx, h []uint64, shards int) *partIndex {
 	return &partIndex{parts: parts}
 }
 
+// partitionRows splits row indices [0, len(h)) into per-shard row lists
+// by h[i] % shards: rows holds the concatenated lists, start[p]:start[p+1]
+// delimits shard p. The scatter is chunk-major (per-chunk histograms,
+// then prefix offsets), so every shard's list is ascending regardless of
+// the worker budget, and join matches still come back in build order.
+// rows comes from the context's arena; callers hand it back with
+// FreeInts.
+func partitionRows(c *exec.Ctx, h []uint64, shards int) (rows []int, start []int) {
+	m := len(h)
+	p := uint64(shards)
+	chunks, size := c.ParallelRuns(m)
+
+	hist := c.Arena().Ints(chunks * shards)
+	clear(hist)
+	c.ParallelFor(chunks, 1, func(clo, chi int) {
+		for ch := clo; ch < chi; ch++ {
+			row := hist[ch*shards : (ch+1)*shards]
+			for j := ch * size; j < min((ch+1)*size, m); j++ {
+				row[h[j]%p]++
+			}
+		}
+	})
+	start = make([]int, shards+1)
+	pos := c.Arena().Ints(chunks * shards)
+	off := 0
+	for pt := 0; pt < shards; pt++ {
+		start[pt] = off
+		for ch := 0; ch < chunks; ch++ {
+			pos[ch*shards+pt] = off
+			off += hist[ch*shards+pt]
+		}
+	}
+	start[shards] = off
+
+	rows = c.Arena().Ints(m)
+	c.ParallelFor(chunks, 1, func(clo, chi int) {
+		for ch := clo; ch < chi; ch++ {
+			cursor := pos[ch*shards : (ch+1)*shards]
+			for j := ch * size; j < min((ch+1)*size, m); j++ {
+				pt := h[j] % p
+				rows[cursor[pt]] = j
+				cursor[pt]++
+			}
+		}
+	})
+	c.Arena().FreeInts(hist)
+	c.Arena().FreeInts(pos)
+	return rows, start
+}
+
 // joinShards is the default build fan-out: one table for small inputs or
 // a serial budget, otherwise the next power of two at or above the
 // worker count (at most 64).

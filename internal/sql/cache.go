@@ -22,8 +22,8 @@ import (
 // functions materialize results into the plan at planning time, so a
 // cached plan for them could silently pin stale data or a stale RMA
 // policy. The cache is invalidated wholesale on every catalog change
-// (CREATE/INSERT/DROP/Register) and on every execution-mode change
-// (streaming toggle, SetRMAOptions, SetGovernor): plans hold references
+// (CREATE/INSERT/DROP/Register) and on every execution-option change
+// (SetRMAOptions, SetGovernor): plans hold references
 // to the catalog relations that existed at plan time, so any event that
 // could change what a statement reads — or how — drops every entry.
 
@@ -39,38 +39,34 @@ const defaultPlanCacheCap = 256
 type PlanCacheStats struct {
 	Hits          int64 // statements served from a cached entry
 	Misses        int64 // cacheable statements that had to parse (and were inserted)
-	Invalidations int64 // wholesale invalidation events (DDL/DML, mode changes)
+	Invalidations int64 // wholesale invalidation events (DDL/DML, option changes)
 	Entries       int   // entries currently cached
 }
 
 // planEntry is one cached statement: the parsed SELECT plus, after the
-// first streamed execution, its stream plan. plan == nil with planned
-// set means the planner declined the statement and cached executions go
-// straight to the materializing path.
+// first successful planning, its stream plan.
 type planEntry struct {
 	key string
 	sel *SelectStmt
 
-	mu      sync.Mutex
-	planned bool
-	plan    *selectPlan
+	mu   sync.Mutex
+	plan *selectPlan
 }
 
 // planFor returns the entry's stream plan, planning it on first use.
-// Planning errors are not cached as errors: the planner's only failure
-// mode is "fall back to the materializing path", and that decision is
-// stable until an invalidation drops the entry anyway.
-func (e *planEntry) planFor(db *DB, c *exec.Ctx) *selectPlan {
+// A planning error is the statement's error and is not cached: the
+// next execution plans again.
+func (e *planEntry) planFor(db *DB, c *exec.Ctx) (*selectPlan, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.planned {
+	if e.plan == nil {
 		plan, err := db.planStream(c, e.sel)
 		if err != nil {
-			plan = nil
+			return nil, err
 		}
-		e.plan, e.planned = plan, true
+		e.plan = plan
 	}
-	return e.plan
+	return e.plan, nil
 }
 
 // planCache is a bounded LRU of planEntry keyed by normalized statement

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/core"
 )
 
 // TestPlanCacheHitAfterRepeat checks the cache's basic contract: the
@@ -45,7 +46,7 @@ func TestPlanCacheHitAfterRepeat(t *testing.T) {
 
 // TestPlanCacheInvalidation checks every invalidation edge the cache
 // promises: DML (INSERT), DDL (CREATE/DROP), catalog replacement
-// (Register), and the streaming-mode toggle. After each event the cache
+// (Register), and an execution-option change. After each event the cache
 // is empty, and — the part that matters — a re-executed statement sees
 // the new catalog state instead of the cached plan's old snapshot.
 func TestPlanCacheInvalidation(t *testing.T) {
@@ -104,19 +105,15 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Fatalf("after Register: %+v", m)
 	}
 
-	// The streaming toggle drops cached stream plans; the materialized
-	// re-run still answers correctly and re-caches.
+	// An execution-option change drops cached plans too; the re-run
+	// plans again and still answers correctly.
 	countRows()
-	db.SetStreaming(false)
-	if m := db.Metrics().PlanCache; m.Entries != 0 {
-		t.Fatalf("after SetStreaming(false): %+v", m)
+	db.SetRMAOptions(&core.Options{Parallelism: 2})
+	if m := db.Metrics().PlanCache; m.Entries != 0 || m.Invalidations != inv+4 {
+		t.Fatalf("after SetRMAOptions: %+v", m)
 	}
 	if got := countRows(); got != 1001 {
-		t.Fatalf("materialized count = %d", got)
-	}
-	db.SetStreaming(true)
-	if got := countRows(); got != 1001 {
-		t.Fatalf("re-streamed count = %d", got)
+		t.Fatalf("re-planned count = %d", got)
 	}
 }
 

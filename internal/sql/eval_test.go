@@ -60,11 +60,10 @@ func evalTable() *rel.Relation {
 // evalDB registers n plus the join partners of the filter and join-key
 // sites: m(mid, mz), one row per n row, and kd(kid, k), a small build
 // side of float keys.
-func evalDB(t *testing.T, streaming bool) *DB {
+func evalDB(t *testing.T) *DB {
 	t.Helper()
 	n := evalTable()
 	db := NewDB()
-	db.SetStreaming(streaming)
 	db.Register("n", n)
 	ids := n.Cols[0].Vector().Ints()
 	mz := make([]int64, len(ids))
@@ -227,8 +226,9 @@ func likeMatch(s, pat string) bool {
 	return s != "" && s[0] == pat[0] && likeMatch(s[1:], pat[1:])
 }
 
-// refEval evaluates e on one row (column values by name).
-func refEval(e Expr, row map[string]bat.Value) (bat.Value, error) {
+// refEval evaluates e on one row; col returns the row's value of a
+// column reference.
+func refEval(e Expr, col func(*ColRef) bat.Value) (bat.Value, error) {
 	switch x := e.(type) {
 	case *NumberLit:
 		if x.IsInt {
@@ -238,9 +238,9 @@ func refEval(e Expr, row map[string]bat.Value) (bat.Value, error) {
 	case *StringLit:
 		return bat.StringValue(x.Val), nil
 	case *ColRef:
-		return row[x.Name], nil
+		return col(x), nil
 	case *UnaryExpr:
-		v, err := refEval(x.E, row)
+		v, err := refEval(x.E, col)
 		if err != nil {
 			return v, err
 		}
@@ -252,7 +252,7 @@ func refEval(e Expr, row map[string]bat.Value) (bat.Value, error) {
 		}
 		return bat.FloatValue(-v.F), nil
 	case *BinaryExpr:
-		l, err := refEval(x.L, row)
+		l, err := refEval(x.L, col)
 		if err != nil {
 			return l, err
 		}
@@ -261,10 +261,10 @@ func refEval(e Expr, row map[string]bat.Value) (bat.Value, error) {
 			if refTruthy(l) == (x.Op == "OR") {
 				return refBool(x.Op == "OR"), nil
 			}
-			r, err := refEval(x.R, row)
+			r, err := refEval(x.R, col)
 			return refBool(refTruthy(r)), err
 		}
-		r, err := refEval(x.R, row)
+		r, err := refEval(x.R, col)
 		if err != nil {
 			return r, err
 		}
@@ -312,7 +312,7 @@ func refEval(e Expr, row map[string]bat.Value) (bat.Value, error) {
 	case *FuncCall:
 		args := make([]float64, len(x.Args))
 		for k, a := range x.Args {
-			v, err := refEval(a, row)
+			v, err := refEval(a, col)
 			if err != nil {
 				return v, err
 			}
@@ -325,17 +325,17 @@ func refEval(e Expr, row map[string]bat.Value) (bat.Value, error) {
 		}
 		return bat.FloatValue(math.Pow(args[0], args[1])), nil
 	case *BetweenExpr:
-		v, err := refEval(x.E, row)
+		v, err := refEval(x.E, col)
 		if err != nil {
 			return v, err
 		}
-		lo, err := refEval(x.Lo, row)
+		lo, err := refEval(x.Lo, col)
 		if err != nil {
 			return lo, err
 		}
 		in := false
 		if refCmp(lo, v) <= 0 {
-			hi, err := refEval(x.Hi, row)
+			hi, err := refEval(x.Hi, col)
 			if err != nil {
 				return hi, err
 			}
@@ -343,13 +343,13 @@ func refEval(e Expr, row map[string]bat.Value) (bat.Value, error) {
 		}
 		return refBool(in != x.Not), nil
 	case *InExpr:
-		v, err := refEval(x.E, row)
+		v, err := refEval(x.E, col)
 		if err != nil {
 			return v, err
 		}
 		hit := false
 		for _, it := range x.List {
-			w, err := refEval(it, row)
+			w, err := refEval(it, col)
 			if err != nil {
 				return w, err
 			}
@@ -360,7 +360,7 @@ func refEval(e Expr, row map[string]bat.Value) (bat.Value, error) {
 		}
 		return refBool(hit != x.Not), nil
 	case *LikeExpr:
-		v, err := refEval(x.E, row)
+		v, err := refEval(x.E, col)
 		if err != nil {
 			return v, err
 		}
@@ -378,7 +378,7 @@ func refRows(e Expr, r *rel.Relation) ([]bat.Value, []error) {
 		for k, a := range r.Schema {
 			row[a.Name] = r.Cols[k].Get(i)
 		}
-		vals[i], errs[i] = refEval(e, row)
+		vals[i], errs[i] = refEval(e, func(c *ColRef) bat.Value { return row[c.Name] })
 	}
 	return vals, errs
 }
@@ -490,25 +490,23 @@ func TestEvalKernelsMatchReference(t *testing.T) {
 
 // --- statement-level sites ---------------------------------------------------
 
-// siteCase runs one statement on the streamed (workers 1 and 2) and
-// materialized executors and hands each result to check.
-func siteCase(t *testing.T, dbs []*DB, q string, wantErr error, check func(*rel.Relation) error) {
+// siteCase runs one statement at workers 1 and 2 and hands each result
+// to check.
+func siteCase(t *testing.T, db *DB, q string, wantErr error, check func(*rel.Relation) error) {
 	t.Helper()
-	for k, db := range dbs {
-		for _, w := range []int{1, 2} {
-			res, err := db.QueryWith(q, &core.Options{Parallelism: w})
-			if wantErr != nil {
-				if !errors.Is(err, ErrDivisionByZero) {
-					t.Fatalf("db %d workers %d: %s: error %v, want division by zero", k, w, q, err)
-				}
-				continue
+	for _, w := range []int{1, 2} {
+		res, err := db.QueryWith(q, &core.Options{Parallelism: w})
+		if wantErr != nil {
+			if !errors.Is(err, ErrDivisionByZero) {
+				t.Fatalf("workers %d: %s: error %v, want division by zero", w, q, err)
 			}
-			if err != nil {
-				t.Fatalf("db %d workers %d: %s: %v", k, w, q, err)
-			}
-			if err := check(res); err != nil {
-				t.Fatalf("db %d workers %d: %s: %v", k, w, q, err)
-			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("workers %d: %s: %v", w, q, err)
+		}
+		if err := check(res); err != nil {
+			t.Fatalf("workers %d: %s: %v", w, q, err)
 		}
 	}
 }
@@ -517,10 +515,10 @@ func intsOf(res *rel.Relation, k int) []int64 { return res.Cols[k].Vector().Ints
 
 // TestEvalSitesMatchReference runs random expressions at every site the
 // evaluator serves — scan predicate (bound to global rows), post-join
-// filter, join key, group key and projection — on the streamed and
-// materialized executors and checks each result against refEval.
+// filter, join key, group key and projection — and checks each result
+// against refEval.
 func TestEvalSitesMatchReference(t *testing.T) {
-	dbs := []*DB{evalDB(t, true), evalDB(t, false)}
+	db := evalDB(t)
 	n := evalTable()
 	g := &exprGen{rng: rand.New(rand.NewSource(23)), divide: true}
 	for q := 0; q < 40; q++ {
@@ -540,8 +538,8 @@ func TestEvalSitesMatchReference(t *testing.T) {
 			}
 			return nil
 		}
-		siteCase(t, dbs, "SELECT id FROM n WHERE "+p, firstErr(errs), checkIDs)
-		siteCase(t, dbs, "SELECT n.id FROM n JOIN m ON n.id = m.mid WHERE ("+p+") OR m.mz <> m.mz", firstErr(errs), checkIDs)
+		siteCase(t, db, "SELECT id FROM n WHERE "+p, firstErr(errs), checkIDs)
+		siteCase(t, db, "SELECT n.id FROM n JOIN m ON n.id = m.mid WHERE ("+p+") OR m.mz <> m.mz", firstErr(errs), checkIDs)
 
 		// Projection: every value, bit for bit.
 		v := g.num(3)
@@ -550,7 +548,7 @@ func TestEvalSitesMatchReference(t *testing.T) {
 		}
 		ve := parseExpr(t, v)
 		vals, errs = refRows(ve, n)
-		siteCase(t, dbs, "SELECT "+v+" AS v FROM n", firstErr(errs), func(res *rel.Relation) error {
+		siteCase(t, db, "SELECT "+v+" AS v FROM n", firstErr(errs), func(res *rel.Relation) error {
 			for r := range vals {
 				if got := res.Cols[0].Get(r); !sameBits(got, vals[r]) {
 					return fmt.Errorf("row %d = %v, reference %v", r, got, vals[r])
@@ -579,7 +577,7 @@ func TestEvalSitesMatchReference(t *testing.T) {
 		for _, v := range vals {
 			find(v).cnt++
 		}
-		siteCase(t, dbs, "SELECT "+v+" AS g, COUNT(*) AS c FROM n GROUP BY "+v, firstErr(errs), func(res *rel.Relation) error {
+		siteCase(t, db, "SELECT "+v+" AS g, COUNT(*) AS c FROM n GROUP BY "+v, firstErr(errs), func(res *rel.Relation) error {
 			if res.NumRows() != len(groups) {
 				return fmt.Errorf("%d groups, reference %d", res.NumRows(), len(groups))
 			}
@@ -593,7 +591,7 @@ func TestEvalSitesMatchReference(t *testing.T) {
 
 		// Join key: pairs in probe order, matches in build order; numeric
 		// keys match as float64 under the total order.
-		kd, _ := dbs[0].Table("kd")
+		kd, _ := db.Table("kd")
 		ks := kd.Cols[1].Vector().Floats()
 		var pairs []string
 		for r, v := range vals {
@@ -606,7 +604,7 @@ func TestEvalSitesMatchReference(t *testing.T) {
 		if vals[0].Type == bat.String {
 			continue
 		}
-		siteCase(t, dbs, "SELECT n.id, kd.kid FROM n JOIN kd ON ("+v+") = kd.k", firstErr(errs), func(res *rel.Relation) error {
+		siteCase(t, db, "SELECT n.id, kd.kid FROM n JOIN kd ON ("+v+") = kd.k", firstErr(errs), func(res *rel.Relation) error {
 			got := make([]string, res.NumRows())
 			for r := range got {
 				got[r] = fmt.Sprintf("%d:%d", intsOf(res, 0)[r], intsOf(res, 1)[r])
@@ -621,10 +619,9 @@ func TestEvalSitesMatchReference(t *testing.T) {
 
 // --- regressions -------------------------------------------------------------
 
-func regressionDB(t *testing.T, streaming bool) *DB {
+func regressionDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
-	db.SetStreaming(streaming)
 	db.Register("n", rel.MustNew("n", rel.Schema{{Name: "x", Type: bat.Float}, {Name: "i", Type: bat.Int},
 		{Name: "a", Type: bat.Int}, {Name: "b", Type: bat.Int}},
 		[]*bat.BAT{bat.FromFloats([]float64{1, 2, 3}), bat.FromInts([]int64{1 << 53, 1<<53 + 1, 5}),
@@ -646,19 +643,17 @@ func queryRows(t *testing.T, db *DB, q string) int {
 // fails <> 5.
 func TestCompareNaNTotalOrder(t *testing.T) {
 	const nan = "(x - x) / (x - x)"
-	for _, streaming := range []bool{true, false} {
-		db := regressionDB(t, streaming)
-		for q, want := range map[string]int{
-			"SELECT x FROM n WHERE " + nan + " = 5":             0,
-			"SELECT x FROM n WHERE " + nan + " <> 5":            3,
-			"SELECT x FROM n WHERE " + nan + " > 1e308":         3,
-			"SELECT x FROM n WHERE " + nan + " = " + nan:        3,
-			"SELECT x FROM n WHERE " + nan + " IN (5, 6)":       0,
-			"SELECT x FROM n WHERE " + nan + " BETWEEN 0 AND 9": 0,
-		} {
-			if got := queryRows(t, db, q); got != want {
-				t.Fatalf("streaming=%v: %s returned %d rows, want %d", streaming, q, got, want)
-			}
+	db := regressionDB(t)
+	for q, want := range map[string]int{
+		"SELECT x FROM n WHERE " + nan + " = 5":             0,
+		"SELECT x FROM n WHERE " + nan + " <> 5":            3,
+		"SELECT x FROM n WHERE " + nan + " > 1e308":         3,
+		"SELECT x FROM n WHERE " + nan + " = " + nan:        3,
+		"SELECT x FROM n WHERE " + nan + " IN (5, 6)":       0,
+		"SELECT x FROM n WHERE " + nan + " BETWEEN 0 AND 9": 0,
+	} {
+		if got := queryRows(t, db, q); got != want {
+			t.Fatalf("%s returned %d rows, want %d", q, got, want)
 		}
 	}
 }
@@ -667,19 +662,17 @@ func TestCompareNaNTotalOrder(t *testing.T) {
 // int64 exactly instead of through float64, which cannot tell 2^53
 // from 2^53+1.
 func TestCompareIntExact(t *testing.T) {
-	for _, streaming := range []bool{true, false} {
-		db := regressionDB(t, streaming)
-		for q, want := range map[string]int{
-			"SELECT i FROM n WHERE i = 9007199254740992":                            1,
-			"SELECT i FROM n WHERE i <> 9007199254740992":                           2,
-			"SELECT i FROM n WHERE i > 9007199254740992":                            1,
-			"SELECT i FROM n WHERE i BETWEEN 9007199254740993 AND 9007199254740993": 1,
-			"SELECT i FROM n WHERE i IN (9007199254740993)":                         1,
-			"SELECT i FROM n WHERE i = 9007199254740992.0":                          2, // mixed: float64
-		} {
-			if got := queryRows(t, db, q); got != want {
-				t.Fatalf("streaming=%v: %s returned %d rows, want %d", streaming, q, got, want)
-			}
+	db := regressionDB(t)
+	for q, want := range map[string]int{
+		"SELECT i FROM n WHERE i = 9007199254740992":                            1,
+		"SELECT i FROM n WHERE i <> 9007199254740992":                           2,
+		"SELECT i FROM n WHERE i > 9007199254740992":                            1,
+		"SELECT i FROM n WHERE i BETWEEN 9007199254740993 AND 9007199254740993": 1,
+		"SELECT i FROM n WHERE i IN (9007199254740993)":                         1,
+		"SELECT i FROM n WHERE i = 9007199254740992.0":                          2, // mixed: float64
+	} {
+		if got := queryRows(t, db, q); got != want {
+			t.Fatalf("%s returned %d rows, want %d", q, got, want)
 		}
 	}
 }
@@ -687,18 +680,16 @@ func TestCompareIntExact(t *testing.T) {
 // TestModByZero: integer % by zero is a typed error, raised only for
 // rows the statement evaluates — AND and OR still short-circuit.
 func TestModByZero(t *testing.T) {
-	for _, streaming := range []bool{true, false} {
-		db := regressionDB(t, streaming)
-		for _, q := range []string{"SELECT a % b FROM n", "SELECT a FROM n WHERE a % b = 1", "INSERT INTO n VALUES (1, 2, 3, 4 % 0)"} {
-			if _, err := db.Exec(q); !errors.Is(err, ErrDivisionByZero) {
-				t.Fatalf("streaming=%v: %s: error %v, want ErrDivisionByZero", streaming, q, err)
-			}
+	db := regressionDB(t)
+	for _, q := range []string{"SELECT a % b FROM n", "SELECT a FROM n WHERE a % b = 1", "INSERT INTO n VALUES (1, 2, 3, 4 % 0)"} {
+		if _, err := db.Exec(q); !errors.Is(err, ErrDivisionByZero) {
+			t.Fatalf("%s: error %v, want ErrDivisionByZero", q, err)
 		}
-		if got := queryRows(t, db, "SELECT a FROM n WHERE b <> 0 AND a % b = 1"); got != 2 {
-			t.Fatalf("streaming=%v: AND short-circuit returned %d rows, want 2", streaming, got)
-		}
-		if got := queryRows(t, db, "SELECT a FROM n WHERE b = 0 OR a % b = 1"); got != 3 {
-			t.Fatalf("streaming=%v: OR short-circuit returned %d rows, want 3", streaming, got)
-		}
+	}
+	if got := queryRows(t, db, "SELECT a FROM n WHERE b <> 0 AND a % b = 1"); got != 2 {
+		t.Fatalf("AND short-circuit returned %d rows, want 2", got)
+	}
+	if got := queryRows(t, db, "SELECT a FROM n WHERE b = 0 OR a % b = 1"); got != 3 {
+		t.Fatalf("OR short-circuit returned %d rows, want 3", got)
 	}
 }

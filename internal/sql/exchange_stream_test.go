@@ -53,10 +53,9 @@ func exchangeDB(t *testing.T) *DB {
 }
 
 // TestExchangeStreamedJoinGroupBitwise runs join+group statements
-// through every execution shape — materialized, streamed serial
-// (single build table), streamed parallel (exchange-partitioned build)
-// — and asserts every result is bitwise-identical to the materialized
-// reference.
+// serially (single build table) and in parallel (exchange-partitioned
+// build) and asserts every result is bitwise-identical to the serial
+// one.
 func TestExchangeStreamedJoinGroupBitwise(t *testing.T) {
 	queries := []string{
 		// Group keys = join keys.
@@ -72,21 +71,18 @@ func TestExchangeStreamedJoinGroupBitwise(t *testing.T) {
 		`SELECT t.id, t.val, s.bonus FROM t JOIN s ON t.grp = s.k ORDER BY t.id, s.bonus LIMIT 500`,
 	}
 	for qi, q := range queries {
-		mat := exchangeDB(t)
-		mat.SetStreaming(false)
-		want, err := mat.QueryWith(q, &core.Options{Parallelism: 1})
+		want, err := exchangeDB(t).QueryWith(q, &core.Options{Parallelism: 1})
 		if err != nil {
-			t.Fatalf("query %d materialized: %v", qi, err)
+			t.Fatalf("query %d serial: %v", qi, err)
 		}
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range []int{2, 8} {
 			db := exchangeDB(t)
-			db.SetStreaming(true)
 			got, err := db.QueryWith(q, &core.Options{Parallelism: workers})
 			if err != nil {
 				t.Fatalf("query %d workers=%d: %v", qi, workers, err)
 			}
 			if err := equalBits(want, got); err != nil {
-				t.Fatalf("query %d workers=%d: streamed result differs from materialized: %v", qi, workers, err)
+				t.Fatalf("query %d workers=%d: result differs from the serial run: %v", qi, workers, err)
 			}
 		}
 	}
@@ -98,7 +94,6 @@ func TestExchangeStreamShardStats(t *testing.T) {
 	const q = `SELECT t.grp AS g, SUM(t.val) AS sv, COUNT(*) AS cnt
 		FROM t JOIN s ON t.grp = s.k GROUP BY t.grp ORDER BY g`
 	db := exchangeDB(t)
-	db.SetStreaming(true)
 	if _, err := db.QueryWith(q, &core.Options{Parallelism: 8}); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ type DB struct {
 	tables   map[string]*rel.Relation
 	rmaOpts  *core.Options
 	gov      *exec.Governor
-	noStream bool
 	lastPipe []exec.StageStats
 	stmtOpts map[*exec.Ctx]*core.Options
 	cache    planCache
@@ -98,19 +97,6 @@ func (db *DB) SetGovernor(g *exec.Governor) {
 	db.cache.invalidate()
 }
 
-// SetStreaming toggles the morsel-driven streaming SELECT pipeline
-// (enabled by default). Disabling it routes every SELECT through the
-// materializing path; results are bitwise-identical either way, so the
-// switch exists for comparison and diagnosis, not correctness. The
-// toggle invalidates the plan cache — cached stream plans belong to the
-// mode they were planned under.
-func (db *DB) SetStreaming(on bool) {
-	db.mu.Lock()
-	db.noStream = !on
-	db.mu.Unlock()
-	db.cache.invalidate()
-}
-
 // SetSpill enables out-of-core statement execution: every statement
 // context carries a spill manager staging under dir (empty means the OS
 // temp dir), and an operator whose estimated in-memory footprint
@@ -140,12 +126,6 @@ func (db *DB) spillConfig() (dir string, threshold int64, on bool) {
 // both ways — and as an escape hatch.
 func (db *DB) SetPlanCache(on bool) {
 	db.cache.setEnabled(on)
-}
-
-func (db *DB) streamingEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return !db.noStream
 }
 
 // PipelineStats returns the per-stage morsel counters of the most
@@ -257,8 +237,10 @@ func (db *DB) Exec(src string) (*rel.Relation, error) {
 // never share a worker knob or an arena. A statement that exceeds its
 // memory budget at the configured parallelism is retried once serially
 // (the serial plans need less scratch and every operator is
-// deterministic across worker budgets); if the retry fails too, the
-// typed error — matching exec.ErrMemoryBudget — is returned.
+// deterministic across worker budgets), then — when SetSpill enabled
+// spilling — once more serially with spilling forced; if the last rung
+// fails too, the typed error — matching exec.ErrMemoryBudget — is
+// returned.
 //
 // Single-statement SELECTs over plain tables and joins are served
 // through the plan cache: a repeat of the same normalized statement
@@ -324,20 +306,18 @@ func (db *DB) execCached(e *planEntry, opts *core.Options) (*rel.Relation, error
 	return res, err
 }
 
-// runCached runs one execution of a cached statement: the entry's
-// stream plan when streaming is on and the planner took the statement
-// (planned lazily on the entry's first streamed execution, shared and
-// read-only afterwards), the materializing executor otherwise.
+// runCached runs one execution of a cached statement through the
+// entry's stream plan (planned lazily on the entry's first execution,
+// shared and read-only afterwards).
 func (db *DB) runCached(e *planEntry, opts *core.Options, forceSerial int, forceSpill bool) (res *rel.Relation, err error) {
 	c, finish := db.stmtCtx(opts, forceSerial, forceSpill)
 	defer finish()
 	defer exec.CatchBudget(&err)
-	if db.streamingEnabled() && !c.Spill().IsForced() {
-		if plan := e.planFor(db, c); plan != nil {
-			return db.execPlanned(c, e.sel, plan)
-		}
+	plan, err := e.planFor(db, c)
+	if err != nil {
+		return nil, err
 	}
-	return db.execSelectMaterialized(c, e.sel)
+	return db.execPlanned(c, e.sel, plan)
 }
 
 // runStmt admits one statement against the governor, executes it under
@@ -658,8 +638,6 @@ func (db *DB) buildFrom(c *exec.Ctx, te TableExpr) (*source, error) {
 		return newSource(r, x.Alias), nil
 	case *RMARef:
 		return db.buildRMA(c, x)
-	case *JoinExpr:
-		return db.buildJoin(c, x)
 	}
 	return nil, fmt.Errorf("sql: unsupported table expression %T", te)
 }
@@ -726,98 +704,6 @@ func (db *DB) evalRMA(c *exec.Ctx, x *RMARef) (*rel.Relation, error) {
 		return nil, fmt.Errorf("sql: %s takes one relation", strings.ToUpper(x.Op))
 	}
 	return core.Unary(op, args[0], x.Args[0].By, opts)
-}
-
-func (db *DB) buildJoin(c *exec.Ctx, x *JoinExpr) (*source, error) {
-	left, err := db.buildFrom(c, x.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := db.buildFrom(c, x.Right)
-	if err != nil {
-		return nil, err
-	}
-	switch x.Kind {
-	case JoinCross:
-		return crossSources(c, left, right)
-	default:
-		return joinSources(c, left, right, x.On, x.Kind)
-	}
-}
-
-// combineSchemas concatenates two sources' schemas with fresh internal
-// column names.
-func combineSchemas(left, right *source, cols []*bat.BAT) (*source, error) {
-	schema := make(rel.Schema, 0, len(left.syms)+len(right.syms))
-	syms := make([]sym, 0, cap(schema))
-	for k, a := range left.rel.Schema {
-		schema = append(schema, rel.Attr{Name: internalName(len(schema)), Type: a.Type})
-		syms = append(syms, left.syms[k])
-	}
-	for k, a := range right.rel.Schema {
-		schema = append(schema, rel.Attr{Name: internalName(len(schema)), Type: a.Type})
-		syms = append(syms, right.syms[k])
-	}
-	r, err := rel.New("", schema, cols)
-	if err != nil {
-		return nil, err
-	}
-	return &source{rel: r, syms: syms}, nil
-}
-
-func crossSources(c *exec.Ctx, left, right *source) (*source, error) {
-	nl, nr := left.rel.NumRows(), right.rel.NumRows()
-	li := make([]int, 0, nl*nr)
-	ri := make([]int, 0, nl*nr)
-	for i := 0; i < nl; i++ {
-		for j := 0; j < nr; j++ {
-			li = append(li, i)
-			ri = append(ri, j)
-		}
-	}
-	return gatherPairs(c, left, right, li, ri)
-}
-
-func gatherPairs(c *exec.Ctx, left, right *source, li, ri []int) (*source, error) {
-	cols := make([]*bat.BAT, 0, len(left.rel.Cols)+len(right.rel.Cols))
-	for _, col := range left.rel.Cols {
-		cols = append(cols, col.Gather(c, li))
-	}
-	for _, col := range right.rel.Cols {
-		cols = append(cols, gatherPadded(c, col, ri))
-	}
-	return combineSchemas(left, right, cols)
-}
-
-// gatherPadded gathers col by idx, emitting the zero value where idx < 0
-// (left-join non-matches).
-func gatherPadded(c *exec.Ctx, col *bat.BAT, idx []int) *bat.BAT {
-	pad := false
-	for _, j := range idx {
-		if j < 0 {
-			pad = true
-			break
-		}
-	}
-	if !pad {
-		return col.Gather(c, idx)
-	}
-	out := bat.NewEmptyVector(col.Type(), len(idx))
-	for _, j := range idx {
-		if j < 0 {
-			switch col.Type() {
-			case bat.Float:
-				out.Append(bat.FloatValue(0))
-			case bat.Int:
-				out.Append(bat.IntValue(0))
-			default:
-				out.Append(bat.StringValue(""))
-			}
-			continue
-		}
-		out.Append(col.Get(j))
-	}
-	return bat.FromVector(out)
 }
 
 // extractEqui splits an ON expression into equi-join key pairs (left expr,
@@ -906,86 +792,6 @@ func collectCols(e Expr, acc []*ColRef) []*ColRef {
 	return acc
 }
 
-func joinSources(c *exec.Ctx, left, right *source, on Expr, kind JoinKind) (*source, error) {
-	lk, rk, residual := extractEqui(on, left, right)
-	if len(lk) == 0 {
-		if kind == JoinLeft {
-			return nil, fmt.Errorf("sql: LEFT JOIN requires an equi-join condition")
-		}
-		// Nested-loop fallback: cross then filter on the full ON clause.
-		crossed, err := crossSources(c, left, right)
-		if err != nil {
-			return nil, err
-		}
-		return filterSource(c, crossed, on)
-	}
-	// Hash join: build on the right, probe from the left. The key
-	// expressions are materialized into typed columns once and joined
-	// through rel's 64-bit row hashes — no per-row string keys.
-	lkeys, err := keyCols(left, lk)
-	if err != nil {
-		return nil, err
-	}
-	rkeys, err := keyCols(right, rk)
-	if err != nil {
-		return nil, err
-	}
-	var joined *source
-	if c.ShouldSpill(rel.JoinSpillEst(left.rel.NumRows(), right.rel.NumRows())) {
-		// Out-of-core: the pair arrays — the join's dominant transient —
-		// are staged to disk and the result columns filled block-wise
-		// from the pair stream. Bitwise-identical to the in-memory path.
-		sp, err := rel.EquiJoinPairsSpilled(c, lkeys, rkeys, kind == JoinLeft)
-		if err != nil {
-			return nil, err
-		}
-		cols, err := sp.Fill(c, left.rel.Cols, right.rel.Cols)
-		sp.Close()
-		if err != nil {
-			return nil, err
-		}
-		if joined, err = combineSchemas(left, right, cols); err != nil {
-			return nil, err
-		}
-	} else {
-		li, ri, err := rel.EquiJoinPairs(c, lkeys, rkeys, kind == JoinLeft)
-		if err != nil {
-			return nil, err
-		}
-		joined, err = gatherPairs(c, left, right, li, ri)
-		bat.FreeInts(li)
-		bat.FreeInts(ri)
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, res := range residual {
-		if joined, err = filterSource(c, joined, res); err != nil {
-			return nil, err
-		}
-	}
-	return joined, nil
-}
-
-// keyCols materializes join-key expressions into typed columns for the
-// hash join. Cross-type numeric keys (an int expression against a float
-// one) hash and compare through canonical float bits inside rel, so no
-// coercion is needed here.
-func keyCols(s *source, exprs []Expr) ([]*bat.BAT, error) {
-	n := s.rel.NumRows()
-	cols := make([]*bat.BAT, len(exprs))
-	for k, e := range exprs {
-		ex, err := compileExpr(e, s)
-		if err != nil {
-			return nil, err
-		}
-		if cols[k], err = materialize(ex, n); err != nil {
-			return nil, err
-		}
-	}
-	return cols, nil
-}
-
 func filterSource(c *exec.Ctx, s *source, pred Expr) (*source, error) {
 	ex, err := compileExpr(pred, s)
 	if err != nil {
@@ -1000,87 +806,21 @@ func filterSource(c *exec.Ctx, s *source, pred Expr) (*source, error) {
 
 // --- SELECT pipeline -------------------------------------------------------
 
-// execSelect routes a SELECT through the streaming morsel pipeline when
-// the planner can take it, falling back to the materializing pipeline
-// otherwise (and whenever streaming is disabled). Both paths produce
-// bitwise-identical results; the streaming path just peaks at
-// max-per-stage memory instead of sum-of-intermediates.
+// execSelect plans one SELECT and runs it through the streaming morsel
+// pipeline. A planning error is the statement's error.
 func (db *DB) execSelect(c *exec.Ctx, sel *SelectStmt) (*rel.Relation, error) {
-	// A forced-spill retry runs materialized on purpose: the
-	// materializing operators (HashJoin, GroupBy, bat.Order) are the
-	// ones with disk-backed twins, while the streaming join build has
-	// none.
-	if db.streamingEnabled() && !c.Spill().IsForced() {
-		res, err := db.execSelectStreaming(c, sel)
-		if !errors.Is(err, errNeedMaterialize) {
-			return res, err
-		}
-	}
-	return db.execSelectMaterialized(c, sel)
-}
-
-func (db *DB) execSelectMaterialized(c *exec.Ctx, sel *SelectStmt) (*rel.Relation, error) {
-	src, err := db.buildFrom(c, sel.From)
+	plan, err := db.planStream(c, sel)
 	if err != nil {
 		return nil, err
 	}
-	if sel.Where != nil {
-		if src, err = filterSource(c, src, sel.Where); err != nil {
-			return nil, err
-		}
-	}
-
-	items := sel.Items
-	// Expand stars against the current symbols.
-	var expanded []SelectItem
-	for _, it := range items {
-		if !it.Star {
-			expanded = append(expanded, it)
-			continue
-		}
-		for _, sy := range src.syms {
-			expanded = append(expanded, SelectItem{
-				Expr: &ColRef{Qualifier: sy.qual, Name: sy.name},
-				As:   sy.name,
-			})
-		}
-	}
-	items = expanded
-
-	// Aggregation.
-	aggs := findAggregates(items, sel.Having)
-	if len(aggs) > 0 || len(sel.GroupBy) > 0 {
-		if src, err = groupSource(c, src, sel.GroupBy, aggs); err != nil {
-			return nil, err
-		}
-		rewrites := make(map[string]Expr)
-		for k, g := range sel.GroupBy {
-			rewrites[keyOf(g)] = &ColRef{Qualifier: grpQual, Name: fmt.Sprintf("g%d", k)}
-		}
-		for k, a := range aggs {
-			rewrites[keyOf(a)] = &ColRef{Qualifier: grpQual, Name: fmt.Sprintf("agg%d", k)}
-		}
-		for k := range items {
-			items[k].Expr = rewrite(items[k].Expr, rewrites)
-		}
-		if sel.Having != nil {
-			having := rewrite(sel.Having, rewrites)
-			if src, err = filterSource(c, src, having); err != nil {
-				return nil, err
-			}
-		}
-	} else if sel.Having != nil {
-		return nil, fmt.Errorf("sql: HAVING without aggregation")
-	}
-
-	return finishSelect(c, sel, items, src)
+	return db.execPlanned(c, sel, plan)
 }
 
 // projectMeta resolves the projection: compiled expressions over the
-// given source plus the output schema and symbols, with the duplicate
-// name disambiguation the dialect applies. Both pipelines (and the
-// streaming planner's dry run) funnel through it, so output naming and
-// typing can never diverge between them.
+// given frame plus the output schema and symbols, with the duplicate
+// name disambiguation the dialect applies. The planner's dry run and
+// the grouped tail both funnel through it, so output naming and typing
+// cannot diverge between them.
 func projectMeta(items []SelectItem, fr *frame) (rel.Schema, []sym, []*expr, error) {
 	outSchema := make(rel.Schema, len(items))
 	outSyms := make([]sym, len(items))
@@ -1100,12 +840,13 @@ func projectMeta(items []SelectItem, fr *frame) (rel.Schema, []sym, []*expr, err
 			}
 		}
 		if prev, dup := seen[name]; dup {
-			// Disambiguate duplicate output names with the qualifier.
-			if cr, ok := items[prev].Expr.(*ColRef); ok && cr.Qualifier != "" && outSchema[prev].Name == name {
-				outSchema[prev].Name = cr.Qualifier + "." + name
+			// Disambiguate duplicate output names with the qualifier,
+			// or with the position where that does not tell them apart.
+			if q := userQual(items[prev].Expr); q != "" && outSchema[prev].Name == name {
+				outSchema[prev].Name = q + "." + name
 			}
-			if cr, ok := it.Expr.(*ColRef); ok && cr.Qualifier != "" {
-				name = cr.Qualifier + "." + name
+			if q := userQual(it.Expr); q != "" && q+"."+name != outSchema[prev].Name {
+				name = q + "." + name
 			} else {
 				name = fmt.Sprintf("%s_%d", name, k+1)
 			}
@@ -1118,11 +859,19 @@ func projectMeta(items []SelectItem, fr *frame) (rel.Schema, []sym, []*expr, err
 	return outSchema, outSyms, comps, nil
 }
 
-// finishSelect runs the tail of the SELECT pipeline — projection,
-// DISTINCT, ORDER BY, LIMIT — over a materialized source. The streaming
-// aggregation path funnels through it too (its grouped relation is
-// materialized by the time grouping completes), so the tail semantics
-// cannot diverge between pipelines.
+// userQual returns the qualifier of a column reference as the user
+// wrote it; internal qualifiers such as grpQual never name an output
+// column.
+func userQual(e Expr) string {
+	if cr, ok := e.(*ColRef); ok && !strings.HasPrefix(cr.Qualifier, "#") {
+		return cr.Qualifier
+	}
+	return ""
+}
+
+// finishSelect runs the tail of a grouped SELECT — projection,
+// DISTINCT, ORDER BY, LIMIT — over the grouped relation, which is
+// materialized by the time grouping completes.
 func finishSelect(c *exec.Ctx, sel *SelectStmt, items []SelectItem, src *source) (*rel.Relation, error) {
 	fr := frameOf(src)
 	outSchema, outSyms, comps, err := projectMeta(items, fr)
@@ -1141,20 +890,26 @@ func finishSelect(c *exec.Ctx, sel *SelectStmt, items []SelectItem, src *source)
 	if err != nil {
 		return nil, err
 	}
-	return finishOutput(c, sel, out, outSyms, src)
+	return finishOutput(c, sel, sel.OrderBy, out, outSyms, src)
 }
 
+// ordQual is the reserved qualifier of the hidden sort-key columns the
+// planner appends to a projection (see planStream).
+const ordQual = "#ord"
+
 // finishOutput applies DISTINCT, ORDER BY and LIMIT to the projected
-// output. src, when non-nil, is the pre-projection source ORDER BY may
-// fall back to for sort keys that were not selected; the streaming
-// projection path passes nil (its planner already proved the sort keys
-// compile against the output). ORDER BY runs bat.Order over typed key
-// columns and gathers only the rows LIMIT keeps.
-func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, outSyms []sym, src *source) (*rel.Relation, error) {
+// output. src, when non-nil, is the pre-projection grouped source ORDER
+// BY may fall back to for sort keys that were not selected. The
+// streamed projection passes nil: its planner resolved every sort key
+// already, projecting a key that is not selected as a hidden trailing
+// column under ordQual, which is dropped here before the rows are
+// gathered. ORDER BY runs bat.Order over typed key columns and gathers
+// only the rows LIMIT keeps.
+func finishOutput(c *exec.Ctx, sel *SelectStmt, orderBy []OrderItem, out *rel.Relation, outSyms []sym, src *source) (*rel.Relation, error) {
 	if sel.Distinct {
 		out = out.Distinct(c)
 	}
-	if len(sel.OrderBy) == 0 {
+	if len(orderBy) == 0 {
 		if sel.Limit >= 0 {
 			out = out.Limit(c, sel.Limit)
 		}
@@ -1162,15 +917,15 @@ func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, outSyms []sym
 	}
 
 	outSrc := &source{rel: out, syms: outSyms}
-	keys := make([]*bat.BAT, len(sel.OrderBy))
-	desc := make([]bool, len(sel.OrderBy))
+	keys := make([]*bat.BAT, len(orderBy))
+	desc := make([]bool, len(orderBy))
 	var owned []*bat.Vector
 	defer func() {
 		for _, v := range owned {
 			freeVec(c, v)
 		}
 	}()
-	for k, ob := range sel.OrderBy {
+	for k, ob := range orderBy {
 		col, vec, err := orderKey(c, ob.Expr, outSrc)
 		if err != nil && src != nil && !sel.Distinct && src.rel.NumRows() == out.NumRows() {
 			// Fall back to the pre-projection source: ORDER BY may
@@ -1186,6 +941,11 @@ func finishOutput(c *exec.Ctx, sel *SelectStmt, out *rel.Relation, outSyms []sym
 		keys[k], desc[k] = col, ob.Desc
 	}
 	idx := bat.Order(c, keys, desc, sel.Limit)
+	vis := len(outSyms)
+	for vis > 0 && outSyms[vis-1].qual == ordQual {
+		vis--
+	}
+	out = &rel.Relation{Name: out.Name, Schema: out.Schema[:vis:vis], Cols: out.Cols[:vis:vis]}
 	out = out.Gather(c, idx)
 	c.Arena().FreeInts(idx)
 	return out, nil
@@ -1252,74 +1012,6 @@ func findAggregates(items []SelectItem, having Expr) []*FuncCall {
 		walk(having)
 	}
 	return out
-}
-
-// groupSource materializes group keys and aggregate inputs, runs the
-// grouping operator, and exposes the result under the #grp qualifier.
-func groupSource(c *exec.Ctx, src *source, groupBy []Expr, aggs []*FuncCall) (*source, error) {
-	n := src.rel.NumRows()
-	schema := rel.Schema{}
-	cols := []*bat.BAT{}
-	var keyNames []string
-	for k, g := range groupBy {
-		comp, err := compileExpr(g, src)
-		if err != nil {
-			return nil, err
-		}
-		name := fmt.Sprintf("g%d", k)
-		col, err := materialize(comp, n)
-		if err != nil {
-			return nil, err
-		}
-		schema = append(schema, rel.Attr{Name: name, Type: comp.typ})
-		cols = append(cols, col)
-		keyNames = append(keyNames, name)
-	}
-	specs := make([]rel.AggSpec, len(aggs))
-	for k, a := range aggs {
-		fn := aggFuncs[a.Name]
-		spec := rel.AggSpec{Func: fn, As: fmt.Sprintf("agg%d", k)}
-		if !a.Star {
-			if len(a.Args) != 1 {
-				return nil, fmt.Errorf("sql: %s takes one argument", a.Name)
-			}
-			comp, err := compileExpr(a.Args[0], src)
-			if err != nil {
-				return nil, err
-			}
-			name := fmt.Sprintf("a%d", k)
-			col, err := materialize(comp, n)
-			if err != nil {
-				return nil, err
-			}
-			schema = append(schema, rel.Attr{Name: name, Type: comp.typ})
-			cols = append(cols, col)
-			spec.Attr = name
-		} else if fn != rel.Count {
-			return nil, fmt.Errorf("sql: %s(*) not supported", a.Name)
-		}
-		specs[k] = spec
-	}
-	if len(cols) == 0 {
-		// Pure COUNT(*) with no grouping materializes no columns; keep a
-		// dummy column so the row count survives into the grouping.
-		schema = rel.Schema{{Name: "#dummy", Type: bat.Int}}
-		cols = []*bat.BAT{bat.FromInts(make([]int64, n))}
-	}
-	tmp, err := rel.New("", schema, cols)
-	if err != nil {
-		return nil, err
-	}
-	grouped, err := rel.GroupBy(c, tmp, keyNames, specs)
-	if err != nil {
-		return nil, err
-	}
-	// Global aggregation over an empty input yields one row of zeros
-	// (COUNT(*) = 0), matching SQL semantics.
-	if len(keyNames) == 0 && grouped.NumRows() == 0 {
-		grouped = zeroAggRow(grouped)
-	}
-	return newSource(grouped, grpQual), nil
 }
 
 // zeroAggRow is the SQL empty-global-aggregation result: a single row of

@@ -14,21 +14,24 @@ import (
 )
 
 // This file is the differential SQL fuzz oracle: a seeded random SELECT
-// generator executed three ways — streamed, materialized, and through
-// the plan cache (twice, so the second run exercises a cache hit on a
-// shared plan) — at worker budgets {1, 2, 8}, asserting bitwise
-// -identical relations and identical error strings across every leg.
-// The three executors are three DBs registered over the *same* column
-// storage, so any divergence is the engine's, never the data's.
+// generator executed by the engine — uncached, and through the plan
+// cache (twice, so the second run exercises a cache hit on a shared
+// plan) — at worker budgets {1, 2, 8}, asserting bitwise-identical
+// relations and identical error strings across every engine leg. The
+// engine legs are DBs registered over the *same* column storage, so any
+// divergence is the engine's, never the data's. A last leg checks the
+// engine against refQuery, the naive reference evaluator of
+// reference_test.go: valid statements must match it bit for bit, and a
+// statement the engine rejects must fail there too.
 //
 // Iterations and seed come from the environment so CI can pin a smoke
 // configuration while longer local runs go deeper:
 //
-//	RMA_ORACLE_ITERS (default 60)
+//	RMA_ORACLE_ITERS (default 300)
 //	RMA_ORACLE_SEED  (default 1)
-//	RMA_ORACLE_SPILL (set to 1 to add two spill-forced legs: streamed
-//	                  and materialized executors staging every eligible
-//	                  operator to disk through a one-byte threshold)
+//	RMA_ORACLE_SPILL (set to 1 to add a spill-forced leg: the engine
+//	                  staging every eligible operator to disk through a
+//	                  one-byte threshold)
 
 func oracleEnvInt(name string, def int) int {
 	if v := os.Getenv(name); v != "" {
@@ -39,18 +42,24 @@ func oracleEnvInt(name string, def int) int {
 	return def
 }
 
-// oracleCatalog is one generated dataset registered into the executor
-// databases. The two spill-forced executors are nil unless
-// RMA_ORACLE_SPILL is set.
+// oracleCatalog is one generated dataset registered into the engine
+// databases, plus the relations themselves for the reference leg. The
+// spill-forced database is nil unless RMA_ORACLE_SPILL is set.
 type oracleCatalog struct {
-	stream, mat, cached *DB
-	spillS, spillM      *DB
+	tables         map[string]*rel.Relation
+	stream, cached *DB
+	spill          *DB
 }
 
 // newOracleCatalog generates a fact table f(id, g, v, w, s), a dimension
 // d(k, b, l) and a tiny z(zid, zs), with sizes and contents drawn from
 // rng. Sizes hover small for iteration speed but periodically land on
 // the morsel boundary, where streamed batching bugs live.
+//
+// Every float is dyadic — a multiple of 0.25 (v), 0.0625 (w) or 0.5 (b)
+// of small magnitude — so sums of them are exact in float64 whatever
+// the association order. The reference leg's row-order SUM and AVG
+// therefore match the engine's chunked folds bit for bit.
 func newOracleCatalog(t *testing.T, rng *rand.Rand, round int) *oracleCatalog {
 	t.Helper()
 	sizes := []int{0, 1, 3, 17, 100, 333}
@@ -89,7 +98,9 @@ func newOracleCatalog(t *testing.T, rng *rand.Rand, round int) *oracleCatalog {
 	bs := make([]float64, dn)
 	ls := make([]string, dn)
 	for j := 0; j < dn; j++ {
-		ks[j] = int64(rng.Intn(card + 3)) // some keys unmatched
+		// About half the keys match no f.g, and some f.g match no
+		// key, so LEFT JOIN pads rows in most catalogs.
+		ks[j] = int64(rng.Intn(2*card + 3))
 		bs[j] = float64(rng.Intn(40)) * 0.5
 		ls[j] = fmt.Sprintf("L%d", rng.Intn(5))
 	}
@@ -110,23 +121,21 @@ func newOracleCatalog(t *testing.T, rng *rand.Rand, round int) *oracleCatalog {
 		t.Fatal(err)
 	}
 
-	oc := &oracleCatalog{stream: NewDB(), mat: NewDB(), cached: NewDB()}
-	oc.stream.SetPlanCache(false)
-	oc.mat.SetPlanCache(false)
-	oc.mat.SetStreaming(false)
-	dbs := []*DB{oc.stream, oc.mat, oc.cached}
-	if os.Getenv("RMA_ORACLE_SPILL") == "1" {
-		// Spill-forced legs: a one-byte threshold sends every
-		// estimate-gated operator to its disk path on both pipelines.
-		oc.spillS, oc.spillM = NewDB(), NewDB()
-		oc.spillS.SetPlanCache(false)
-		oc.spillS.SetSpill(t.TempDir(), 1)
-		oc.spillM.SetPlanCache(false)
-		oc.spillM.SetStreaming(false)
-		oc.spillM.SetSpill(t.TempDir(), 1)
-		dbs = append(dbs, oc.spillS, oc.spillM)
+	oc := &oracleCatalog{
+		tables: map[string]*rel.Relation{"f": fact, "d": dim, "z": tiny},
+		stream: NewDB(), cached: NewDB(),
 	}
-	for name, r := range map[string]*rel.Relation{"f": fact, "d": dim, "z": tiny} {
+	oc.stream.SetPlanCache(false)
+	dbs := []*DB{oc.stream, oc.cached}
+	if os.Getenv("RMA_ORACLE_SPILL") == "1" {
+		// Spill-forced leg: a one-byte threshold sends every
+		// estimate-gated operator to its disk path.
+		oc.spill = NewDB()
+		oc.spill.SetPlanCache(false)
+		oc.spill.SetSpill(t.TempDir(), 1)
+		dbs = append(dbs, oc.spill)
+	}
+	for name, r := range oc.tables {
 		for _, db := range dbs {
 			db.Register(name, r)
 		}
@@ -167,7 +176,8 @@ func genPredicate(rng *rand.Rand, qual string) string {
 
 // genQuery draws one SELECT. Roughly 8% of queries are deliberately
 // invalid (unknown columns, string aggregation, HAVING without
-// aggregates) so error-string parity is fuzzed too.
+// aggregates), and so is ORDER BY on an unselected column under
+// DISTINCT, so error-string parity is fuzzed too.
 func genQuery(rng *rand.Rand) string {
 	if rng.Intn(12) == 0 {
 		return []string{
@@ -267,9 +277,15 @@ func genQuery(rng *rand.Rand) string {
 	}
 	q := fmt.Sprintf("SELECT %s%s FROM %s%s", distinct, strings.Join(items, ", "), from, where)
 	if rng.Intn(2) == 0 {
-		// No tiebreak needed: every executor is deterministic, so equal
-		// sort keys keep their input order identically on every leg.
-		q += " ORDER BY " + orderables[rng.Intn(len(orderables))]
+		// No tiebreak needed: equal sort keys keep their input order on
+		// every leg.
+		key := orderables[rng.Intn(len(orderables))]
+		if rng.Intn(3) == 0 {
+			// A key that is not selected: projected as a hidden sort
+			// column (an error under DISTINCT).
+			key = c([]string{"w", "id", "s"}[rng.Intn(3)])
+		}
+		q += " ORDER BY " + key
 		if rng.Intn(2) == 0 {
 			q += " DESC"
 		}
@@ -281,18 +297,19 @@ func genQuery(rng *rand.Rand) string {
 }
 
 // TestDifferentialOracle is the oracle loop. Every generated query runs
-// four legs per worker budget — streamed, materialized, cached (cold),
-// cached (hit), plus two spill-forced legs under RMA_ORACLE_SPILL —
-// with the streamed leg at workers 1 doubling as the
-// cross-worker reference. Any divergence in bits or error text fails
-// with the seed, round, and statement needed to replay it.
+// three engine legs per worker budget — uncached, cached (cold), cached
+// (hit), plus a spill-forced leg under RMA_ORACLE_SPILL — with the
+// uncached leg at workers 1 doubling as the cross-worker reference, and
+// once through the reference evaluator. Any divergence in bits or error
+// text fails with the seed, round, and statement needed to replay it.
 func TestDifferentialOracle(t *testing.T) {
-	iters := oracleEnvInt("RMA_ORACLE_ITERS", 60)
+	iters := oracleEnvInt("RMA_ORACLE_ITERS", 300)
 	seed := int64(oracleEnvInt("RMA_ORACLE_SEED", 1))
 	rng := rand.New(rand.NewSource(seed))
 
 	var oc *oracleCatalog
 	workers := []int{1, 2, 8}
+	compared := 0 // valid statements checked against the reference
 	for round := 0; round < iters; round++ {
 		if round%25 == 0 || oc == nil {
 			oc = newOracleCatalog(t, rng, round/25)
@@ -307,7 +324,6 @@ func TestDifferentialOracle(t *testing.T) {
 		for _, w := range workers {
 			opts := &core.Options{Parallelism: w}
 			smRes, smErr := oc.stream.ExecWith(q, opts)
-			matRes, matErr := oc.mat.ExecWith(q, opts)
 			c1Res, c1Err := oc.cached.ExecWith(q, opts)
 			c2Res, c2Err := oc.cached.ExecWith(q, opts)
 
@@ -318,16 +334,12 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 			legs := []oracleLeg{
 				{"streamed", smRes, smErr},
-				{"materialized", matRes, matErr},
 				{"cached-cold", c1Res, c1Err},
 				{"cached-hit", c2Res, c2Err},
 			}
-			if oc.spillS != nil {
-				ssRes, ssErr := oc.spillS.ExecWith(q, opts)
-				sgRes, sgErr := oc.spillM.ExecWith(q, opts)
-				legs = append(legs,
-					oracleLeg{"spilled-streamed", ssRes, ssErr},
-					oracleLeg{"spilled-materialized", sgRes, sgErr})
+			if oc.spill != nil {
+				spRes, spErr := oc.spill.ExecWith(q, opts)
+				legs = append(legs, oracleLeg{"spilled", spRes, spErr})
 			}
 			if w == workers[0] {
 				ref, refErr = smRes, smErr
@@ -347,6 +359,22 @@ func TestDifferentialOracle(t *testing.T) {
 				}
 			}
 		}
+
+		want, wantErr := refQuery(oc.tables, q)
+		switch {
+		case refErr != nil && wantErr == nil:
+			fail("reference: engine failed (%v), reference succeeded", refErr)
+		case refErr == nil && wantErr != nil:
+			fail("reference: engine succeeded, reference failed: %v", wantErr)
+		case refErr == nil:
+			if err := checkReference(ref, want); err != nil {
+				fail("reference: %v", err)
+			}
+			compared++
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no valid statement was checked against the reference evaluator")
 	}
 
 	// The cached executor must actually have been exercising its cache:

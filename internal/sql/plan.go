@@ -1,8 +1,8 @@
 package sql
 
 import (
-	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/bat"
 	"repro/internal/rel"
@@ -10,24 +10,14 @@ import (
 	"repro/internal/exec"
 )
 
-// This file is the logical planner of the streaming SELECT pipeline. It
-// shapes the FROM tree into a left-deep stream plan (the left spine
-// streams, every join's right side is materialized and indexed), pushes
-// WHERE conjuncts down to the lowest node that can evaluate them, prunes
-// columns nothing above the scans references, and dry-compiles every
-// expression the runtime will evaluate per morsel so streaming execution
-// cannot hit a compile error the materializing path would have reported
-// from a different place.
-//
-// The planner is conservative by construction: any statement shape or
-// compile problem it cannot prove it will execute bitwise-identically to
-// the materializing path surfaces as errNeedMaterialize, and execSelect
-// falls back to the original code path. Falling back re-evaluates the
-// FROM clause — wasteful but read-only — and guarantees user-facing
-// errors always come from exactly one implementation.
-
-// errNeedMaterialize routes a SELECT to the materializing pipeline.
-var errNeedMaterialize = errors.New("sql: statement needs the materializing path")
+// This file is the logical planner of the SELECT pipeline, the engine's
+// one SELECT executor. It shapes the FROM tree into a left-deep stream
+// plan (the left spine streams, every join's right side is materialized
+// and indexed), pushes WHERE conjuncts down to the lowest node that can
+// evaluate them, prunes columns nothing above the scans references, and
+// dry-compiles every expression the runtime will evaluate per morsel, so
+// name resolution and typing errors surface at planning time, before
+// any row is read. A planning error is the statement's error.
 
 // streamNode is one node of the stream plan: either a scan leaf over a
 // materialized source, or a join whose left input streams and whose
@@ -123,7 +113,7 @@ func (n *streamNode) walkOns(f func(Expr)) {
 // references. The rule is conservative: a symbol survives when any
 // collected column reference matches its name (and qualifier, when the
 // reference carries one) — unqualified references keep every candidate,
-// so ambiguity errors surface exactly as in the materializing path.
+// so ambiguity errors still surface.
 func (n *streamNode) prune(refs []*ColRef) {
 	if n.leaf != nil {
 		n.needed, n.outSyms, n.outTypes = neededCols(refs, n.leaf)
@@ -159,8 +149,8 @@ func neededCols(refs []*ColRef, s *source) (idx []int, syms []sym, types []bat.T
 // check splits every ON clause into equi keys and residual, then
 // dry-compiles all the expressions the streaming runtime will compile
 // against unbound frames carrying the final (pruned) symbol tables —
-// name resolution and typing never depend on row data. A failure means the runtime could error where
-// the materializing path reports differently, so the caller falls back.
+// name resolution and typing never depend on row data, so the runtime
+// cannot hit a compile error.
 func (n *streamNode) check() error {
 	if n.leaf != nil {
 		proto := frameOf(n.leaf)
@@ -243,9 +233,14 @@ type selectPlan struct {
 
 	group *groupPlan // set when the statement aggregates
 
-	// Non-aggregating projection metadata (group == nil).
+	// Non-aggregating projection metadata (group == nil): the projected
+	// expressions — the select items, then any hidden sort keys — with
+	// their output schema and symbols, and the ORDER BY list with
+	// hidden keys rewritten into references to their columns.
+	proj      []Expr
 	outSchema rel.Schema
 	outSyms   []sym
+	orderBy   []OrderItem
 }
 
 // groupPlan carries the streaming aggregation shape: grouping key
@@ -259,10 +254,8 @@ type groupPlan struct {
 	argExprs []Expr
 }
 
-// planStream plans one SELECT for streaming execution. Any error —
-// unsupported shape, unresolved column, type problem — makes execSelect
-// fall back to the materializing path, which either handles the shape or
-// reports the error itself.
+// planStream plans one SELECT. Any error — unresolved column, type
+// problem, unsupported shape — is the statement's error.
 func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 	root, err := db.planNode(c, sel.From)
 	if err != nil {
@@ -274,8 +267,7 @@ func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 		}
 	}
 
-	// Star expansion against the full FROM symbols, exactly as the
-	// materializing path expands them.
+	// Star expansion against the full (unpruned) FROM symbols.
 	var items []SelectItem
 	for _, it := range sel.Items {
 		if !it.Star {
@@ -333,22 +325,40 @@ func (db *DB) planStream(c *exec.Ctx, sel *SelectStmt) (*selectPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan.outSchema, plan.outSyms = schema, syms
-	if len(sel.OrderBy) > 0 {
-		// The materializing path can fall back to sorting on
-		// pre-projection columns; the streaming path discards them, so it
-		// only takes ORDER BY that compiles against the projected output.
-		outProto := newFrame(syms, typesOfSchema(schema))
-		for _, ob := range sel.OrderBy {
-			if _, err := outProto.compile(ob.Expr); err != nil {
-				return nil, err
-			}
+	plan.outSchema, plan.outSyms, plan.orderBy = schema, syms, sel.OrderBy
+	for _, it := range items {
+		plan.proj = append(plan.proj, it.Expr)
+	}
+	// ORDER BY resolves against the projected output first. Without
+	// DISTINCT, a key that only resolves against the pre-projection
+	// columns is projected too, as a hidden trailing column that
+	// finishOutput orders by and drops.
+	outProto := newFrame(syms, typesOfSchema(schema))
+	for k, ob := range sel.OrderBy {
+		_, err := outProto.compile(ob.Expr)
+		if err == nil {
+			continue
 		}
+		if sel.Distinct {
+			return nil, err
+		}
+		comp, err := proto.compile(ob.Expr)
+		if err != nil {
+			return nil, err
+		}
+		if len(plan.proj) == len(items) {
+			plan.orderBy = append([]OrderItem(nil), sel.OrderBy...)
+		}
+		name := ordQual + strconv.Itoa(k)
+		plan.proj = append(plan.proj, ob.Expr)
+		plan.outSchema = append(plan.outSchema, rel.Attr{Name: name, Type: comp.typ})
+		plan.outSyms = append(plan.outSyms, sym{qual: ordQual, name: name})
+		plan.orderBy[k].Expr = &ColRef{Qualifier: ordQual, Name: name}
 	}
 	return plan, nil
 }
 
-// planGroup mirrors groupSource's shape checks and resolves the key and
+// planGroup checks the grouping shape and resolves the key and
 // aggregate-input expressions the streaming group stage evaluates per
 // morsel.
 func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *frame) (*groupPlan, error) {
@@ -362,8 +372,6 @@ func planGroup(sel *SelectStmt, aggs []*FuncCall, proto *frame) (*groupPlan, err
 		gp.keyTypes = append(gp.keyTypes, comp.typ)
 	}
 	if len(aggs) == 0 {
-		// GROUP BY without aggregates is rejected by the grouping
-		// operator; let the materializing path report it.
 		return nil, fmt.Errorf("rel: group by without aggregates")
 	}
 	gp.specs = make([]rel.AggSpec, len(aggs))

@@ -21,7 +21,7 @@ import (
 // Determinism: morsels are emitted in row order, every per-morsel kernel
 // runs serially (MorselSize never exceeds exec.SerialCutoff), and the
 // breakers delegate to rel.JoinBuild / rel.StreamAgg, whose results are
-// bitwise-identical to the materializing operators at any worker count.
+// bitwise-identical at any worker count, shard count and spill setting.
 
 // rowStream is the morsel iterator: next returns the next non-empty
 // batch, or nil at end of stream. The caller owns the returned batch and
@@ -294,10 +294,19 @@ func newJoinStream(c *exec.Ctx, n *streamNode, in rowStream, ps *exec.PipelineSt
 		}
 		filtered = append(filtered, right.rel)
 	}
-	keys, err := keyCols(right, n.rk)
-	if err != nil {
-		freeFiltered(c, filtered)
-		return nil, err
+	// The build keys materialize once into typed columns. Cross-type
+	// numeric keys hash and compare through canonical float bits inside
+	// rel, so no coercion is needed here.
+	keys := make([]*bat.BAT, len(n.rk))
+	for k, e := range n.rk {
+		ex, err := compileExpr(e, right)
+		if err == nil {
+			keys[k], err = materialize(ex, right.rel.NumRows())
+		}
+		if err != nil {
+			freeFiltered(c, filtered)
+			return nil, err
+		}
 	}
 	shards := buildShards(c, right.rel.NumRows())
 	jb, err := rel.NewPartitionedBuild(c, keys, shards)
@@ -389,9 +398,8 @@ func (j *joinStream) close(c *exec.Ctx) {
 
 // --- cross join ------------------------------------------------------------
 
-// crossStream pairs every left-morsel row with every build-side row, in
-// the same i-major order the materializing cross product uses, emitting
-// pair chunks of at most MorselSize rows.
+// crossStream pairs every left-morsel row with every build-side row in
+// i-major order, emitting pair chunks of at most MorselSize rows.
 type crossStream struct {
 	in        rowStream
 	rightVecs []*bat.Vector
@@ -527,8 +535,7 @@ func freeVec(c *exec.Ctx, v *bat.Vector) {
 
 // gatherVecPadded gathers v at idx into an arena buffer; pad marks that
 // idx may contain -1 (unmatched left-outer probe rows), which produce
-// the zero value of the column's domain — the same padding the
-// materializing join applies.
+// the zero value of the column's domain.
 func gatherVecPadded(c *exec.Ctx, v *bat.Vector, idx []int, pad bool) *bat.Vector {
 	if !pad {
 		return v.Gather(c, idx)
@@ -603,18 +610,6 @@ func (db *DB) openStream(c *exec.Ctx, n *streamNode, ps *exec.PipelineStats) (ro
 	return out, nil
 }
 
-// execSelectStreaming plans and runs one SELECT through the morsel
-// pipeline. A planning failure of any kind returns errNeedMaterialize so
-// execSelect falls back; runtime errors (budget overruns included)
-// surface directly.
-func (db *DB) execSelectStreaming(c *exec.Ctx, sel *SelectStmt) (*rel.Relation, error) {
-	plan, err := db.planStream(c, sel)
-	if err != nil {
-		return nil, errNeedMaterialize
-	}
-	return db.execPlanned(c, sel, plan)
-}
-
 // execPlanned runs a planned streaming SELECT. The plan may be shared —
 // cached plans execute concurrently — so execution treats it as
 // strictly read-only: per-morsel state lives in the operators and the
@@ -634,25 +629,25 @@ func (db *DB) execPlanned(c *exec.Ctx, sel *SelectStmt, plan *selectPlan) (*rel.
 }
 
 // runStreamProject drains the stream through the per-morsel projection:
-// every select item is compiled once against the root's morsel frame,
-// evaluated per morsel, and appended to plain output columns (the same
-// storage the materializing projection builds), so the output relation
-// is identical in values, names, and backing layout. Without DISTINCT or ORDER BY, a LIMIT stops the pull
-// as soon as enough rows have been produced.
+// every select item — and every hidden sort key the planner appended —
+// is compiled once against the root's morsel frame, evaluated per
+// morsel, and appended to plain output columns. Without DISTINCT or
+// ORDER BY, a LIMIT stops the pull as soon as enough rows have been
+// produced.
 func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStream, ps *exec.PipelineStats) (*rel.Relation, error) {
-	nItems := len(plan.items)
+	nItems := len(plan.outSchema)
 	outF := make([][]float64, nItems)
 	outI := make([][]int64, nItems)
 	outS := make([][]string, nItems)
 	tr := ps.Stage("project")
 	fr := plan.root.morselFrame()
-	items := make([]*expr, nItems)
-	for k, it := range plan.items {
-		ex, err := fr.compile(it.Expr)
+	items := make([]*expr, 0, nItems)
+	for _, e := range plan.proj {
+		ex, err := fr.compile(e)
 		if err != nil {
 			return nil, err
 		}
-		items[k] = ex
+		items = append(items, ex)
 	}
 	rows := 0
 	earlyStop := sel.Limit >= 0 && !sel.Distinct && len(sel.OrderBy) == 0
@@ -695,17 +690,16 @@ func runStreamProject(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStre
 	if err != nil {
 		return nil, err
 	}
-	return finishOutput(c, sel, out, plan.outSyms, nil)
+	return finishOutput(c, sel, plan.orderBy, out, plan.outSyms, nil)
 }
 
 // runStreamGrouped drains the stream into the streaming aggregation
-// accumulator (rel.StreamAgg, which can spill), then rejoins the
-// materializing tail: rewrite aggregate and key expressions into
-// grouped-column references, apply HAVING, and run the shared
-// projection/ORDER BY/LIMIT code over the grouped relation — which is
-// bitwise-identical to the one groupSource builds. Key and aggregate
-// expressions compile once against the root's morsel frame; column
-// references reach the accumulator as zero-copy views.
+// accumulator (rel.StreamAgg, which can spill), then runs the grouped
+// tail: rewrite aggregate and key expressions into grouped-column
+// references, apply HAVING, and run projection/ORDER BY/LIMIT over the
+// grouped relation (finishSelect). Key and aggregate expressions compile
+// once against the root's morsel frame; column references reach the
+// accumulator as zero-copy views.
 func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, st rowStream, ps *exec.PipelineStats) (*rel.Relation, error) {
 	gp := plan.group
 	sa, err := rel.NewStreamAggCtx(c, "", gp.keyNames, gp.keyTypes, gp.specs, 0)
@@ -720,7 +714,7 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 		}
 	}
 	// Aggregate inputs fold as float64, ints through the exact
-	// float64(int) conversion the materializing path's FloatsCtx applies.
+	// float64(int) conversion.
 	args := make([]*expr, len(gp.argExprs))
 	for k, e := range gp.argExprs {
 		if e == nil {
@@ -776,7 +770,7 @@ func (db *DB) runStreamGrouped(c *exec.Ctx, sel *SelectStmt, plan *selectPlan, s
 		return nil, err
 	}
 	// Global aggregation over an empty input yields one row of zeros
-	// (COUNT(*) = 0), matching SQL semantics and groupSource.
+	// (COUNT(*) = 0), matching SQL semantics.
 	if len(gp.keyNames) == 0 && grouped.NumRows() == 0 {
 		grouped = zeroAggRow(grouped)
 	}

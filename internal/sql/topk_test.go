@@ -16,14 +16,12 @@ import (
 // computed over the raw columns, at table sizes above the parallel
 // cutoff so the chunked top-k and the parallel sort both run.
 
-// orderDBs registers r as t in a streamed, a materialized and a cached
-// executor over the same column storage.
+// orderDBs registers r as t in an uncached and a cached database over
+// the same column storage.
 func orderDBs(r *rel.Relation) map[string]*DB {
-	streamed, mat, cached := NewDB(), NewDB(), NewDB()
+	streamed, cached := NewDB(), NewDB()
 	streamed.SetPlanCache(false)
-	mat.SetPlanCache(false)
-	mat.SetStreaming(false)
-	dbs := map[string]*DB{"streamed": streamed, "materialized": mat, "cached": cached}
+	dbs := map[string]*DB{"streamed": streamed, "cached": cached}
 	for _, db := range dbs {
 		db.Register("t", r)
 	}
@@ -36,7 +34,7 @@ func orderDBs(r *rel.Relation) map[string]*DB {
 func checkOrderQuery(t *testing.T, dbs map[string]*DB, q string, want *rel.Relation) {
 	t.Helper()
 	for _, w := range []int{1, 2, 8} {
-		for _, name := range []string{"streamed", "materialized", "cached", "cached"} {
+		for _, name := range []string{"streamed", "cached", "cached"} {
 			got, err := dbs[name].ExecWith(q, &core.Options{Parallelism: w})
 			if err != nil {
 				t.Fatalf("%s workers=%d %s: %v", q, w, name, err)
@@ -138,11 +136,11 @@ func TestOrderByNaNIdenticalAcrossWorkers(t *testing.T) {
 
 // TestTopKMatchesReference checks every ORDER BY … LIMIT shape the
 // ordering tail serves — output columns in both directions, a two-key
-// order, an expression key, a key that is not selected (the
-// materialized fallback), DISTINCT and GROUP BY — against plain Go, on
-// a 40,000-row table with heavy key ties. Limits cover the heap path
-// and a limit large enough to take the full sort's prefix; streamed,
-// materialized and cached runs must all match bit for bit.
+// order, an expression key, a key that is not selected (a hidden sort
+// column), DISTINCT and GROUP BY — against plain Go, on a 40,000-row
+// table with heavy key ties. Limits cover the heap path and a limit
+// large enough to take the full sort's prefix; uncached and cached runs
+// must all match bit for bit.
 func TestTopKMatchesReference(t *testing.T) {
 	const n = 40000
 	rng := rand.New(rand.NewSource(3))
