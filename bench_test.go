@@ -127,7 +127,7 @@ func BenchmarkTable6QQR(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			qr, err := linalg.NewQRSerial(m)
+			qr, err := linalg.NewQR(exec.New(1), m)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -291,16 +291,28 @@
 // directly into tiles, and blocked results flow back column-wise
 // without an intermediate flat copy.
 //
-// The blocked kernels (linalg.MatMulBlocked, SYRKBlocked, QRBlocked,
+// The blocked kernels (linalg.MatMulBlocked, SYRKBlocked,
 // CholeskyBlocked) drive tile updates through exec.Ctx.ParallelFor and
 // keep the repository's determinism contract the hard way: every
 // output tile accumulates its k-panel products in fixed ascending
-// order, panel factorizations apply reflectors/pivots in the same
-// order and with the same per-element arithmetic as the flat loops, so
-// blocked results are bitwise-identical to the flat kernels at any
-// worker count and any tile-grid shape — asserted by differential
-// tests over tile edges yielding 1/2/7/16-tile grids, non-divisible
-// edge sizes, and worker budgets {1, 2, 8} under -race.
+// order, so MatMulBlocked and SYRKBlocked are bitwise-identical to the
+// flat kernels at any worker count and any tile-grid shape (Cholesky
+// is deterministic but associates differently) — asserted by
+// differential tests over tile edges yielding 1/2/7/16-tile grids,
+// non-divisible edge sizes, and worker budgets {1, 2, 8} under -race.
+//
+// QR is not tiled. Its working form is one contiguous column per
+// attribute — the shape of a BAT — so core.Qqr and core.Rqr on the dense
+// route gather the ordered application columns once into arena buffers and
+// linalg.QRColumns factors them in place, at every operand size; Qqr
+// then forms Q in those same buffers (LAPACK dorg2r-style), which
+// become the result BATs, and Rqr reads R out and frees them. Each
+// Householder step spreads its trailing-column updates over
+// exec.Ctx.ParallelFor by column, with a fixed 4-way dot product per
+// column, so Q and R are bitwise-identical at any worker budget.
+// linalg.QRBlocked only gathers a tile grid into those columns (every
+// tile at once: spilling the grid saves nothing for QR) and runs the
+// same loop, so it is bitwise-identical to NewQR.
 //
 // The relational analogue is the partitioned join build
 // (rel.NewPartitionedBuild): the build side is radix-partitioned into P

@@ -9,6 +9,7 @@ import (
 	"repro/internal/competitor/rsim"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/exec"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
 )
@@ -214,7 +215,7 @@ func init() {
 								return err
 							}
 							// R's default qr() is single-threaded LINPACK.
-							qr, err := linalg.NewQRSerial(m)
+							qr, err := linalg.NewQR(exec.New(1), m)
 							if err != nil {
 								return err
 							}

@@ -54,10 +54,6 @@ func evalDenseUnary(c *exec.Ctx, op Op, a *matrix.Matrix) (*matrix.Matrix, error
 			out.Set(i, 0, v)
 		}
 		return out, nil
-	case OpQQR:
-		return linalg.QQR(c, a)
-	case OpRQR:
-		return linalg.RQR(c, a)
 	case OpDSV:
 		sv, err := linalg.SingularValues(c, a)
 		if err != nil {
@@ -125,6 +121,28 @@ func evalDenseBinary(c *exec.Ctx, op Op, a, b *matrix.Matrix) (*matrix.Matrix, e
 		return out, nil
 	}
 	return nil, fmt.Errorf("rma: %s is not binary", op)
+}
+
+// evalQR computes the QQR or RQR base result from the ordered
+// application columns, which it consumes: they are factored in place,
+// and either become Q or are freed once R is read out.
+func evalQR(c *exec.Ctx, op Op, cols [][]float64) ([]*bat.BAT, error) {
+	d, err := linalg.QRColumns(c, cols)
+	if err != nil {
+		freeColumns(c, cols)
+		return nil, err
+	}
+	if op == OpRQR {
+		r := d.R()
+		freeColumns(c, cols)
+		return matrixToCols(c, r), nil
+	}
+	q := d.QInPlace()
+	out := make([]*bat.BAT, len(q))
+	for j, col := range q {
+		out[j] = bat.FromFloats(col)
+	}
+	return out, nil
 }
 
 // batUnarySupported reports whether the no-copy path implements the

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bat"
 	"repro/internal/exec"
 	"repro/internal/linalg"
-	"repro/internal/matrix"
 	"repro/internal/rel"
 )
 
@@ -269,33 +268,17 @@ func evalUnaryBase(c *exec.Ctx, op Op, a *argument, opts *Options, clock *phaseC
 		if opts.Stats != nil {
 			opts.Stats.UsedDense = true
 		}
-		// Large QR operands materialize directly into tiles and run the
-		// panel-blocked factorization — bitwise-identical to the flat
-		// route, but with no single contiguous operand allocation.
-		if (op == OpQQR || op == OpRQR) && a.rows()*len(a.appCols) >= blockedMinElems {
+		// QR works on columns at every size: the ordered application
+		// columns are copied once into arena buffers, factored in place,
+		// and — for QQR — turned into Q and returned as the result BATs.
+		if op == OpQQR || op == OpRQR {
 			clock.begin()
-			bm, err := a.toBlockMatrix(c)
+			cols := a.appColumns(c)
 			clock.endTransform()
-			if err != nil {
-				return nil, err
-			}
 			clock.begin()
-			d, err := linalg.QRBlocked(c, bm)
+			res, err := evalQR(c, op, cols)
 			clock.endKernel()
-			releaseBlockMatrix(c, bm)
-			if err != nil {
-				return nil, err
-			}
-			var res *matrix.Matrix
-			if op == OpQQR {
-				res = d.Q()
-			} else {
-				res = d.R()
-			}
-			clock.begin()
-			cols := matrixToCols(c, res)
-			clock.endTransform()
-			return cols, nil
+			return res, err
 		}
 		clock.begin()
 		m, err := a.toMatrix(c)

@@ -156,6 +156,38 @@ func (a *argument) toMatrix(c *exec.Ctx) (*matrix.Matrix, error) {
 	return out, nil
 }
 
+// appColumns copies the application part, ordered by the permutation,
+// into one arena buffer of a.rows() floats per column — the working
+// form of the column-native QR, which overwrites them. Columns are
+// copied in parallel; freeColumns hands the buffers back.
+func (a *argument) appColumns(c *exec.Ctx) [][]float64 {
+	m := a.rows()
+	out := make([][]float64, len(a.appCols))
+	c.ParallelFor(len(out), 1, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			// FloatsCtx fails only on strings, which split rejects.
+			f, _ := a.appCols[j].FloatsCtx(c)
+			out[j] = c.Arena().Floats(m)
+			if a.perm == nil {
+				copy(out[j], f)
+			} else {
+				for i, p := range a.perm {
+					out[j][i] = f[p]
+				}
+			}
+			a.appCols[j].ReleaseFloats(c, f)
+		}
+	})
+	return out
+}
+
+// freeColumns returns appColumns buffers to the context's arena.
+func freeColumns(c *exec.Ctx, cols [][]float64) {
+	for _, col := range cols {
+		c.Arena().FreeFloats(col)
+	}
+}
+
 // releaseMatrix returns a toMatrix backing array to the context's arena
 // once the dense kernel has consumed the operand (the kernels never alias
 // their inputs into their results). The matrix must not be used

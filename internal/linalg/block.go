@@ -15,9 +15,9 @@ import (
 // results are bitwise-identical at any worker budget and any tile
 // edge. MatMulBlocked and SYRKBlocked moreover visit every scalar
 // product in exactly the order of their flat counterparts (ascending
-// k with the same zero-skip), and QRBlocked applies reflectors to
-// each column in the same ascending order as the flat Householder
-// loop, so those three are bitwise-identical to the flat kernels too.
+// k with the same zero-skip), and QRBlocked gathers its tiles into
+// columns and runs the flat Householder loop itself, so those three
+// are bitwise-identical to the flat kernels too.
 // CholeskyBlocked uses a genuinely blocked right-looking update whose
 // association differs from the flat column loop; it is deterministic
 // across workers and tile counts but only approximately equal to
@@ -259,21 +259,18 @@ func mirrorTile(c *exec.Ctx, out *matrix.BlockMatrix, ti, tj int) error {
 	return nil
 }
 
-// QRBlocked factors a block matrix with panel-organized Householder
-// reflections: each Edge-wide column panel is factored in place, then
-// the panel's reflectors update the trailing columns panel-parallel
-// through the context's ParallelFor. Per trailing column the
-// reflectors apply in the same ascending order (with identical
-// per-reflector arithmetic) as the flat loop, so the returned
-// factorization — v, tau, and everything derived from them — is
-// bitwise-identical to NewQR on the flattened operand.
+// QRBlocked factors a block matrix: the tiles are gathered (in
+// parallel, tile by tile) into one column per attribute, which then
+// runs the same column-parallel Householder loop as NewQR. The
+// factorization — v, tau and everything derived from them — is
+// therefore bitwise-identical to NewQR on the flattened operand. Every
+// tile is read while the columns are built, so a spilling operand
+// saves nothing here.
 func QRBlocked(c *exec.Ctx, a *matrix.BlockMatrix) (*QR, error) {
 	if a.Rows < a.Cols {
 		return nil, ErrShape
 	}
 	m, n := a.Rows, a.Cols
-	// Gather tile columns into the column-major working form, panel by
-	// panel (no intermediate flat row-major copy).
 	v := make([][]float64, n)
 	for j := 0; j < n; j++ {
 		v[j] = make([]float64, m)
@@ -300,63 +297,7 @@ func QRBlocked(c *exec.Ctx, a *matrix.BlockMatrix) (*QR, error) {
 	if ce.err != nil {
 		return nil, ce.err
 	}
-	tau := make([]float64, n)
-	qrPanels(c, v, tau, m, n, a.Edge)
-	return &QR{v: v, tau: tau, rows: m, cols: n, workers: c.Workers()}, nil
-}
-
-// qrPanels runs the Householder loop in column panels of width panel:
-// reflectors within the current panel are formed and applied to the
-// panel serially (they depend on each other), then the whole panel's
-// reflectors sweep the trailing columns through ParallelFor. Each
-// trailing column receives every reflector in ascending order, so the
-// factorization matches the flat newQR bit for bit.
-func qrPanels(c *exec.Ctx, v [][]float64, tau []float64, m, n, panel int) {
-	if panel < 1 {
-		panel = 1
-	}
-	// Engage the trailing fan-out on the same work scale as the flat
-	// applyReflector (about 1<<15 flops per sweep).
-	minCols := max(1, (1<<15)/(m*panel)+1)
-	for p0 := 0; p0 < n; p0 += panel {
-		p1 := min(p0+panel, n)
-		for k := p0; k < p1; k++ {
-			ck := v[k]
-			var norm float64
-			for _, x := range ck[k:] {
-				norm = math.Hypot(norm, x)
-			}
-			if norm == 0 {
-				tau[k] = 0
-				continue
-			}
-			if ck[k] < 0 {
-				norm = -norm
-			}
-			inv := 1 / norm
-			for i := k; i < m; i++ {
-				ck[i] *= inv
-			}
-			ck[k]++
-			for j := k + 1; j < p1; j++ {
-				applyReflectorTo(ck, v[j], k, m)
-			}
-			tau[k] = -norm
-		}
-		if p1 < n {
-			c.ParallelFor(n-p1, minCols, func(lo, hi int) {
-				for j := p1 + lo; j < p1+hi; j++ {
-					cj := v[j]
-					for k := p0; k < p1; k++ {
-						if v[k][k] == 0 {
-							continue // zero-norm column: no reflector stored
-						}
-						applyReflectorTo(v[k], cj, k, m)
-					}
-				}
-			})
-		}
-	}
+	return QRColumns(c, v)
 }
 
 // CholeskyBlocked factors a symmetric positive definite block matrix

@@ -122,21 +122,41 @@ func TestBlockedSYRKBitwiseFlat(t *testing.T) {
 	}
 }
 
-// TestBlockedQRBitwiseFlat: the panel-blocked factorization must
-// reproduce the flat Householder loop bit for bit — Q and R both.
+// TestBlockedQRBitwiseFlat: every QR entry point — NewQR and QQR at
+// each worker budget, QRBlocked over each tile grid — must
+// produce the same Q and R bit for bit. The two large shapes sit above
+// the trailing-update fan-out cutoff, so the column-parallel updates
+// really split across workers; 600×260 also crosses a 256 edge.
 func TestBlockedQRBitwiseFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for _, dims := range [][2]int{{90, 37}, {65, 65}, {33, 9}} {
+	for _, dims := range [][2]int{{90, 37}, {65, 65}, {33, 9}, {8000, 40}, {600, 260}} {
 		m, n := dims[0], dims[1]
 		a := blockRandMatrix(rng, m, n)
-		ref, err := NewQRSerial(a)
+		ref, err := NewQR(exec.New(1), a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantQ, wantR := ref.Q(), ref.R()
-		for _, workers := range blockWorkerGrid {
+		large := m*n > 1<<17
+		for i, workers := range blockWorkerGrid {
 			c := exec.New(workers)
-			for _, tiles := range blockTileGrid {
+			d, err := NewQR(c, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "parallel QR: Q", d.Q(), wantQ)
+			sameBits(t, "parallel QR: R", d.R(), wantR)
+			q, err := QQR(c, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "QQR", q, wantQ)
+			for k, tiles := range blockTileGrid {
+				// The large shapes cover each tile grid once, cycling
+				// through the worker budgets, to bound the run time.
+				if large && k%len(blockWorkerGrid) != i {
+					continue
+				}
 				edge := edgeForTiles(m, tiles)
 				ab, err := matrix.BlockOf(c, a, edge)
 				if err != nil {

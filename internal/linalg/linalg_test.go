@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/matrix"
 )
 
@@ -260,6 +261,106 @@ func TestQRReconstruction(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hypotNorm is the overflow- and underflow-safe reference norm.
+func hypotNorm(x []float64) float64 {
+	var norm float64
+	for _, xi := range x {
+		norm = math.Hypot(norm, xi)
+	}
+	return norm
+}
+
+// TestQRNumericsEdgeCases: on a zero column (H_k = I, skipped), a
+// square and a single-column matrix, and columns near 1e±200 (whose
+// squares overflow or underflow), Q stays orthonormal and Q·R
+// reproduces A column by column:
+// max |QᵀQ − I| ≤ 1e-13 and ‖(Q·R − A)_j‖ ≤ 1e-13·‖A_j‖.
+// Where the squares leave the float range, the first column's norm
+// |R_00| must equal the math.Hypot reference within one ulp — neither
+// overflowing to Inf nor flushing to 0; elsewhere it agrees to 1e-14.
+func TestQRNumericsEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	scaled := func(m, n int, scale func(j int) float64) *matrix.Matrix {
+		a := randMatrix(rng, m, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, a.At(i, j)*scale(j))
+			}
+		}
+		return a
+	}
+	zeroCol := randMatrix(rng, 50, 6)
+	for i := 0; i < 50; i++ {
+		zeroCol.Set(i, 2, 0)
+	}
+	cases := []struct {
+		name    string
+		a       *matrix.Matrix
+		extreme bool
+	}{
+		{"zero column", zeroCol, false},
+		{"square", randMatrix(rng, 40, 40), false},
+		{"single column", randMatrix(rng, 100, 1), false},
+		{"huge", scaled(60, 5, func(int) float64 { return 1e200 }), true},
+		{"tiny", scaled(60, 5, func(int) float64 { return 1e-200 }), true},
+		{"mixed scales", scaled(60, 6, func(j int) float64 {
+			if j%2 == 0 {
+				return 1e200
+			}
+			return 1e-200
+		}), true},
+		{"tiny first, plain after", scaled(60, 4, func(j int) float64 {
+			if j == 0 {
+				return 1e-200
+			}
+			return 1
+		}), true},
+	}
+	for _, tc := range cases {
+		m, n := tc.a.Rows, tc.a.Cols
+		d, err := NewQR(exec.New(2), tc.a)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		q, r := d.Q(), d.R()
+		if dev := maxAbsDiff(CrossProduct(nil, q, q), matrix.Identity(n)); !(dev <= 1e-13) {
+			t.Errorf("%s: max |QᵀQ − I| = %g", tc.name, dev)
+		}
+		qr := MatMul(nil, q, r)
+		for j := 0; j < n; j++ {
+			res := make([]float64, m)
+			for i := range res {
+				res[i] = qr.At(i, j) - tc.a.At(i, j)
+			}
+			if an := hypotNorm(tc.a.Column(j)); !(hypotNorm(res) <= 1e-13*an) {
+				t.Errorf("%s: column %d: ‖(QR − A)_j‖ = %g, ‖A_j‖ = %g", tc.name, j, hypotNorm(res), an)
+			}
+		}
+		want := hypotNorm(tc.a.Column(0))
+		got := math.Abs(r.At(0, 0))
+		tol := 1e-14 * want
+		if tc.extreme {
+			tol = ulp(want)
+		}
+		if math.IsInf(got, 0) || got == 0 || math.Abs(got-want) > tol {
+			t.Errorf("%s: |R_00| = %g, hypot reference %g", tc.name, got, want)
+		}
+	}
+}
+
+// ulp is the spacing of float64 values at x.
+func ulp(x float64) float64 {
+	return math.Nextafter(x, math.Inf(1)) - x
+}
+
+func maxAbsDiff(a, b *matrix.Matrix) float64 {
+	var dev float64
+	for i, x := range a.Data {
+		dev = math.Max(dev, math.Abs(x-b.Data[i]))
+	}
+	return dev
 }
 
 func TestFullQ(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exec"
 	"repro/internal/matrix"
 )
 
@@ -74,7 +75,7 @@ func TestQuickQRReconstruction(t *testing.T) {
 		var d *QR
 		var err error
 		if serial {
-			d, err = NewQRSerial(a)
+			d, err = NewQR(exec.New(1), a)
 		} else {
 			d, err = NewQR(nil, a)
 		}
