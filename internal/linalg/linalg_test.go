@@ -355,6 +355,8 @@ func ulp(x float64) float64 {
 	return math.Nextafter(x, math.Inf(1)) - x
 }
 
+// maxAbsDiff is the largest |a−b| entry. Unlike matrix.ApproxEqual it
+// propagates NaN, so a NaN entry fails the caller's bound.
 func maxAbsDiff(a, b *matrix.Matrix) float64 {
 	var dev float64
 	for i, x := range a.Data {
